@@ -19,6 +19,8 @@ import (
 	"sync"
 	"testing"
 
+	"spatialseq/internal/algo/hsp"
+	"spatialseq/internal/algo/lora"
 	"spatialseq/internal/core"
 	"spatialseq/internal/eval"
 	"spatialseq/internal/query"
@@ -335,7 +337,7 @@ func BenchmarkAblationPartition(b *testing.B) {
 		runAlgo(b, f, core.HSP, core.Options{})
 	})
 	b.Run("whole-space", func(b *testing.B) {
-		runAlgo(b, f, core.HSP, optHSPNoPartition())
+		runAlgo(b, f, core.HSP, core.Options{HSP: hsp.Options{DisablePartition: true}})
 	})
 }
 
@@ -346,7 +348,7 @@ func BenchmarkAblationBounds(b *testing.B) {
 		runAlgo(b, f, core.HSP, core.Options{})
 	})
 	b.Run("loose", func(b *testing.B) {
-		runAlgo(b, f, core.HSP, optHSPLoose())
+		runAlgo(b, f, core.HSP, core.Options{HSP: hsp.Options{LooseBounds: true}})
 	})
 }
 
@@ -357,7 +359,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 		runAlgo(b, f, core.LORA, core.Options{})
 	})
 	b.Run("random", func(b *testing.B) {
-		runAlgo(b, f, core.LORA, optLORARandom())
+		runAlgo(b, f, core.LORA, core.Options{LORA: lora.Options{RandomSample: true, RandomSeed: 1}})
 	})
 }
 
@@ -368,24 +370,7 @@ func BenchmarkAblationCellNorm(b *testing.B) {
 		runAlgo(b, f, core.LORA, core.Options{})
 	})
 	b.Run("on", func(b *testing.B) {
-		runAlgo(b, f, core.LORA, optLORACellNorm())
-	})
-}
-
-// BenchmarkAblationSortedBreak measures the sorted-break extension (A5).
-func BenchmarkAblationSortedBreak(b *testing.B) {
-	f := getFixture(b, eval.Gaode, 20000, nil)
-	b.Run("hsp/paper", func(b *testing.B) {
-		runAlgo(b, f, core.HSP, core.Options{})
-	})
-	b.Run("hsp/break", func(b *testing.B) {
-		runAlgo(b, f, core.HSP, optHSPSortedBreak())
-	})
-	b.Run("lora/paper", func(b *testing.B) {
-		runAlgo(b, f, core.LORA, core.Options{})
-	})
-	b.Run("lora/break", func(b *testing.B) {
-		runAlgo(b, f, core.LORA, optLORASortedBreak())
+		runAlgo(b, f, core.LORA, core.Options{LORA: lora.Options{PruneCellNorm: true}})
 	})
 }
 
@@ -394,11 +379,11 @@ func BenchmarkParallelism(b *testing.B) {
 	f := getFixture(b, eval.Gaode, 100000, nil)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("hsp/workers=%d", workers), func(b *testing.B) {
-			runAlgo(b, f, core.HSP, optParallel(workers))
+			runAlgo(b, f, core.HSP, core.Options{HSP: hsp.Options{Parallelism: workers}})
 		})
 	}
 	b.Run("lora/workers=4", func(b *testing.B) {
-		runAlgo(b, f, core.LORA, optLORAParallel(4))
+		runAlgo(b, f, core.LORA, core.Options{LORA: lora.Options{Parallelism: 4}})
 	})
 }
 

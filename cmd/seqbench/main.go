@@ -122,7 +122,6 @@ func experiments() []experiment {
 			return eval.AblationSampling(ctx, w, eval.Gaode, firstOf(cfg.Sizes), cfg, []int{1, 5, 10, 50})
 		}},
 		{"ablation-cellnorm", "A3: LORA cell norm filter", single(eval.AblationCellNorm)},
-		{"ablation-break", "A5: sorted-break extension", single(eval.AblationSortedBreak)},
 		{"userstudy", "Section IV-C simulated survey", func(ctx context.Context, w io.Writer, cfg eval.Config) error {
 			return userstudy.Simulate(cfg.Seed).Report(w)
 		}},

@@ -17,7 +17,7 @@ func TestListExperiments(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{"table2-yelp", "table2-gaode", "table3", "fig9-d", "fig9-alpha",
 		"fig9-beta", "fig9-scale", "fig10", "fig11", "ablation-partition", "ablation-sampling",
-		"ablation-cellnorm", "ablation-bounds", "ablation-break", "userstudy"} {
+		"ablation-cellnorm", "ablation-bounds", "userstudy"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("experiment list missing %q", want)
 		}

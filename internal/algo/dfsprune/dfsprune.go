@@ -140,8 +140,8 @@ func (s *searcher) dfs(dim int, attrSum float64) error {
 		sum := attrSum + cand.Sim
 		// Faithful to the CIKM'17 baseline: a failing prefix prunes only
 		// its own subtree; later candidates in the sorted list are still
-		// scanned. (HSP/LORA offer a sorted-break extension; the baseline
-		// deliberately does not.)
+		// scanned. (HSP and LORA cut the level at the first failure; the
+		// baseline deliberately does not.)
 		attrBound := c.AttrBoundLoose(sum, dim+1)
 		if !s.heap.WouldAccept(c.Combine(1, attrBound)) {
 			s.pruned++

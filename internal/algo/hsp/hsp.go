@@ -47,13 +47,6 @@ type Options struct {
 	// LooseBounds falls back to DFS-Prune's bounds inside the subspace
 	// search (A4 ablation isolating the refined-bound gain).
 	LooseBounds bool
-	// SortedBreak is an extension beyond the paper: because candidates
-	// are sorted descending by attribute similarity and the attribute
-	// bound is monotone along that order, a failing attribute-only bound
-	// implies every later candidate fails too, so the whole level can be
-	// abandoned instead of just the subtree. Off by default for fidelity
-	// to Algorithm 1 (ablation A5 measures the gain).
-	SortedBreak bool
 	// Parallelism spreads the search over this many goroutines sharing
 	// one concurrent top-k (exactness is unaffected: a stale pruning
 	// threshold only admits extra candidates, and the tie-break is
@@ -353,13 +346,13 @@ func (s *searcher) chunkUnit(run *stealRun, u sched.Unit, w int, parent span.Spa
 
 func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, opt Options) *searcher {
 	return &searcher{
-		ctx:         ctx,
-		sctx:        sctx,
-		heap:        sink,
-		tuple:       make([]int32, sctx.M),
-		scratch:     sctx.NewScratch(),
-		loose:       opt.LooseBounds,
-		sortedBreak: opt.SortedBreak,
+		ctx:     ctx,
+		sctx:    sctx,
+		heap:    sink,
+		tuple:   make([]int32, sctx.M),
+		scratch: sctx.NewScratch(),
+		loose:   opt.LooseBounds,
+		repeats: sameCategoryBefore(sctx.Ex),
 		// With a shared (eagerly filled) memo the Context counts nothing;
 		// each worker tallies its own hits in the local batch instead.
 		countHits: sctx.MemoShared(),
@@ -446,15 +439,17 @@ type prepState struct {
 }
 
 type searcher struct {
-	ctx         context.Context
-	sctx        *simil.Context
-	heap        topk.Sink
-	tuple       []int32
-	scratch     *simil.Scratch
-	batch       simil.BatchScratch
-	loose       bool
-	sortedBreak bool
-	countHits   bool
+	ctx       context.Context
+	sctx      *simil.Context
+	heap      topk.Sink
+	tuple     []int32
+	scratch   *simil.Scratch
+	batch     simil.BatchScratch
+	loose     bool
+	countHits bool
+	// repeats[dim] is how many earlier tuple objects dim's candidate
+	// list holds (see sameCategoryBefore).
+	repeats []int
 
 	// own is the sequential path's reusable prep state; cands/rbarSuffix
 	// are views of whichever prep state is attached for the current DFS.
@@ -545,7 +540,9 @@ const checkEvery = 4096
 //seq:hotpath
 func (s *searcher) dfs(dim int, attrSum float64, lo, hi int) error {
 	c := s.sctx
-	for _, cand := range s.cands[dim][lo:hi] {
+	level := s.cands[dim][lo:hi]
+	skipped := 0 // earlier tuple objects passed over before the cut
+	for i, cand := range level {
 		if s.steps++; s.steps%checkEvery == 0 {
 			select {
 			case <-s.ctx.Done():
@@ -554,6 +551,7 @@ func (s *searcher) dfs(dim int, attrSum float64, lo, hi int) error {
 			}
 		}
 		if s.used(cand.Pos, dim) {
+			skipped++
 			continue
 		}
 		sum := attrSum + cand.Sim
@@ -564,13 +562,13 @@ func (s *searcher) dfs(dim int, attrSum float64, lo, hi int) error {
 			attrBound = c.AttrBoundRefined(sum, dim+1, s.rbarSuffix)
 		}
 		if !s.heap.WouldAccept(c.Combine(1, attrBound)) {
-			s.local.pruned++
-			if s.sortedBreak {
-				// extension: the bound is monotone along the
-				// similarity-sorted list, so later candidates fail too
-				break
-			}
-			continue
+			// The list is sorted by similarity, so the attribute-only
+			// bound never rises along it, and the top-k threshold never
+			// falls: every later candidate fails too. Cut the level and
+			// count what testing each of them would have pruned, which
+			// skips the earlier tuple objects the tail still holds.
+			s.local.pruned += int64(len(level)-i) - int64(s.repeats[dim]-skipped)
+			break
 		}
 		s.tuple[dim] = cand.Pos
 		added := s.scratch.Push(c.DS.Loc(int(cand.Pos)), cand.Sim)
@@ -600,6 +598,28 @@ func (s *searcher) dfs(dim int, attrSum float64, lo, hi int) error {
 		s.scratch.Pop(added)
 	}
 	return nil
+}
+
+// sameCategoryBefore counts, per example dimension, the earlier
+// dimensions that share its category. Their tuple objects all sit in the
+// dimension's candidate list: a prefix object lies in the ac-subspace
+// (partition.Subspace.ACPoints holds every point of it, core points
+// included), and the list is exactly the ac-subspace's points of that
+// category. A pinned dimension's list holds only its own object and
+// counts none.
+func sameCategoryBefore(ex *query.Example) []int {
+	out := make([]int, ex.M())
+	for dim := range out {
+		if ex.FixedDim(dim) >= 0 {
+			continue
+		}
+		for d := 0; d < dim; d++ {
+			if ex.Categories[d] == ex.Categories[dim] {
+				out[dim]++
+			}
+		}
+	}
+	return out
 }
 
 func (s *searcher) used(pos int32, dim int) bool {

@@ -86,8 +86,7 @@ func TestAblationVariantsStayExact(t *testing.T) {
 		for _, opt := range []Options{
 			{DisablePartition: true},
 			{LooseBounds: true},
-			{SortedBreak: true},
-			{DisablePartition: true, LooseBounds: true, SortedBreak: true},
+			{DisablePartition: true, LooseBounds: true},
 		} {
 			got, err := Search(context.Background(), ds, ix, q, opt)
 			if err != nil {

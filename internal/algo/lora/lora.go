@@ -54,11 +54,6 @@ type Options struct {
 	// using min/max inter-cell distances (A3 ablation; off in the
 	// paper's plain LORA).
 	PruneCellNorm bool
-	// SortedBreak is an extension beyond the paper: cell lists are sorted
-	// descending by score and the Algorithm 4 bound is monotone along
-	// that order, so a failing bound can abandon the whole level instead
-	// of just the subtree. Off by default for fidelity (ablation A5).
-	SortedBreak bool
 	// Parallelism spreads the search over this many goroutines sharing
 	// one concurrent top-k. A stale pruning threshold only admits extra
 	// candidates, so parallel LORA's results are never worse than
@@ -672,21 +667,21 @@ func (s *searcher) sampleBucket(b []simil.Cand, dim, cell int) []simil.Cand {
 //seq:hotpath
 func (s *searcher) cellDFS(dim int, scoreSum float64, lo, hi int) error {
 	c := s.sctx
-	for _, sc := range s.cellLists[dim][lo:hi] {
+	level := s.cellLists[dim][lo:hi]
+	for i, sc := range level {
 		if err := s.checkCancel(); err != nil {
 			return err
 		}
 		sum := scoreSum + sc.score
 		// Algorithm 4: spatial similarity is bounded by 1 at the cell
-		// level; a failing bound prunes the cell's subtree.
+		// level; a failing bound prunes the cell's subtree. The list is
+		// sorted by score, so the bound never rises along it, and the
+		// top-k threshold never falls: every later cell fails too. Cut
+		// the level and count each of them as pruned.
 		vbar := (sum + s.rbarSuffix[dim+1]) / float64(c.M)
 		if !s.heap.WouldAccept(c.Combine(1, vbar)) {
-			s.local.prunedCells++
-			if s.opt.SortedBreak {
-				// extension: monotone along the score-sorted cell list
-				break
-			}
-			continue
+			s.local.prunedCells += int64(len(level) - i)
+			break
 		}
 		s.cellTuple[dim] = sc.cell
 		if s.opt.PruneCellNorm && !s.cellPrefixFeasible(dim) {

@@ -203,13 +203,12 @@ func TestCellNormFilterPreservesResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		filtered, err := Search(context.Background(), ds, ix, q, Options{PruneCellNorm: true, SortedBreak: true})
+		filtered, err := Search(context.Background(), ds, ix, q, Options{PruneCellNorm: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The norm filter only removes beta-infeasible cell tuples and the
-		// sorted break only skips cells whose monotone bound would fail
-		// anyway, so results must be identical.
+		// The norm filter only removes beta-infeasible cell tuples, so
+		// results must be identical.
 		ga, gb := simsOf(plain), simsOf(filtered)
 		if len(ga) != len(gb) {
 			t.Fatalf("trial %d: filter changed result count: %d vs %d", trial, len(ga), len(gb))

@@ -13,6 +13,8 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"spatialseq/internal/algo/hsp"
+	"spatialseq/internal/algo/lora"
 	"spatialseq/internal/bench"
 	"spatialseq/internal/core"
 	"spatialseq/internal/dataset"
@@ -455,7 +457,7 @@ func Fig11(ctx context.Context, w io.Writer, cfg Config, sizes []int) error {
 		}
 		eng := core.NewEngine(data)
 		row := runThree(ctx, eng, queries, c)
-		loraA3 := RunQueries(ctx, eng, queries, core.LORA, loraCellNorm(), cfg.Budget)
+		loraA3 := RunQueries(ctx, eng, queries, core.LORA, core.Options{LORA: lora.Options{PruneCellNorm: true}}, cfg.Budget)
 		recordSweepRow(c, "fig11", Gaode, n, row)
 		recordRun(c, "fig11", Gaode, "A3", n, loraA3, nil)
 		rp.printf(tw, "%d\t%s\t%s\t%s\t%s\t%.4f\t%.4f\t%.4f\t%.4f\n",
@@ -482,7 +484,7 @@ func AblationPartition(ctx context.Context, w io.Writer, f Family, n int, cfg Co
 	}
 	eng := core.NewEngine(data)
 	on := RunQueries(ctx, eng, queries, core.HSP, core.Options{}, cfg.Budget)
-	off := RunQueries(ctx, eng, queries, core.HSP, core.Options{HSP: hspNoPartition()}, cfg.Budget)
+	off := RunQueries(ctx, eng, queries, core.HSP, core.Options{HSP: hsp.Options{DisablePartition: true}}, cfg.Budget)
 	recordRun(cfg, "ablation-partition", f, "partitioned", n, on, nil)
 	recordRun(cfg, "ablation-partition", f, "whole-space", n, off, nil)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -506,7 +508,7 @@ func AblationBounds(ctx context.Context, w io.Writer, f Family, n int, cfg Confi
 	}
 	eng := core.NewEngine(data)
 	refined := RunQueries(ctx, eng, queries, core.HSP, core.Options{}, cfg.Budget)
-	loose := RunQueries(ctx, eng, queries, core.HSP, core.Options{HSP: hspLooseBounds()}, cfg.Budget)
+	loose := RunQueries(ctx, eng, queries, core.HSP, core.Options{HSP: hsp.Options{LooseBounds: true}}, cfg.Budget)
 	recordRun(cfg, "ablation-bounds", f, "refined", n, refined, nil)
 	recordRun(cfg, "ablation-bounds", f, "loose", n, loose, nil)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -538,48 +540,11 @@ func AblationSampling(ctx context.Context, w io.Writer, f Family, n int, cfg Con
 			return err
 		}
 		qd := RunQueries(ctx, eng, queries, core.LORA, core.Options{}, cfg.Budget)
-		rnd := RunQueries(ctx, eng, queries, core.LORA, loraRandom(cfg.Seed), cfg.Budget)
+		rnd := RunQueries(ctx, eng, queries, core.LORA, core.Options{LORA: lora.Options{RandomSample: true, RandomSeed: cfg.Seed}}, cfg.Budget)
 		recordRun(cfg, "ablation-sampling", f, fmt.Sprintf("xi=%d/query-dependent", xi), n, qd, nil)
 		recordRun(cfg, "ablation-sampling", f, fmt.Sprintf("xi=%d/random", xi), n, rnd, nil)
 		rp.printf(tw, "%d\t%.4f\t%.4f\t%s\t%s\n",
 			xi, qd.AvgSim(), rnd.AvgSim(), fmtTime(qd, cfg.Budget), fmtTime(rnd, cfg.Budget))
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return rp.flush(tw)
-}
-
-// AblationSortedBreak measures the sorted-break extension (A5): abandoning
-// a whole candidate level once the monotone attribute bound fails, instead
-// of only the failing subtree as the paper's algorithms do.
-func AblationSortedBreak(ctx context.Context, w io.Writer, f Family, n int, cfg Config) error {
-	data, err := familyDataset(f, n, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	queries, err := workload.Generate(data, familyWorkload(f, cfg))
-	if err != nil {
-		return err
-	}
-	eng := core.NewEngine(data)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	rp := &report{}
-	rp.printf(w, "Ablation A5 (%s-like, %d POIs): sorted-break extension\n", f, n)
-	rp.println(tw, "variant\ttime\tsim")
-	for _, row := range []struct {
-		label string
-		algo  core.Algorithm
-		opt   core.Options
-	}{
-		{"HSP paper (subtree prune)", core.HSP, core.Options{}},
-		{"HSP + sorted break", core.HSP, hspSortedBreak()},
-		{"LORA paper (subtree prune)", core.LORA, core.Options{}},
-		{"LORA + sorted break", core.LORA, loraSortedBreak()},
-	} {
-		r := RunQueries(ctx, eng, queries, row.algo, row.opt, cfg.Budget)
-		recordRun(cfg, "ablation-break", f, row.label, n, r, nil)
-		rp.printf(tw, "%s\t%s\t%.4f\n", row.label, fmtTime(r, cfg.Budget), r.AvgSim())
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -599,7 +564,7 @@ func AblationCellNorm(ctx context.Context, w io.Writer, f Family, n int, cfg Con
 	}
 	eng := core.NewEngine(data)
 	off := RunQueries(ctx, eng, queries, core.LORA, core.Options{}, cfg.Budget)
-	on := RunQueries(ctx, eng, queries, core.LORA, loraCellNorm(), cfg.Budget)
+	on := RunQueries(ctx, eng, queries, core.LORA, core.Options{LORA: lora.Options{PruneCellNorm: true}}, cfg.Budget)
 	recordRun(cfg, "ablation-cellnorm", f, "off", n, off, nil)
 	recordRun(cfg, "ablation-cellnorm", f, "on", n, on, nil)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

@@ -68,6 +68,7 @@ func PhaseBreakdown(ctx context.Context, w io.Writer, f Family, n int, cfg Confi
 // phases into tr. It returns how many queries completed and the summed
 // work counters.
 func runTraced(ctx context.Context, eng *core.Engine, queries []*query.Query, algo core.Algorithm, tr *obs.Trace, budget time.Duration) (int, stats.Snapshot, error) {
+	warmPartitions(eng, queries)
 	deadline := time.Now().Add(budget)
 	ran := 0
 	var work stats.Snapshot

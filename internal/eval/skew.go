@@ -116,6 +116,7 @@ func recordSkew(cfg Config, f Family, size int, algo core.Algorithm, agg skewAgg
 // runSkew runs queries under algo with a fresh span tracer each, until
 // the budget expires, and aggregates the skew reports.
 func runSkew(ctx context.Context, eng *core.Engine, queries []*query.Query, algo core.Algorithm, workers int, budget time.Duration) (skewAgg, error) {
+	warmPartitions(eng, queries)
 	deadline := time.Now().Add(budget)
 	var agg skewAgg
 	for _, q := range queries {

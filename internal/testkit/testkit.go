@@ -35,22 +35,11 @@ import (
 )
 
 // Shape names one dataset family the differential suite sweeps.
-type Shape struct {
-	Name string
-	Spec testutil.DatasetSpec
-}
+type Shape = testutil.Shape
 
 // DefaultShapes returns the three dataset shapes the differential suite
-// runs against: uniform categories, Zipf-skewed categories (one dominant
-// category stresses dense candidate lists), and a zero-attribute mix (the
-// zero-norm cosine conventions and heavy score ties).
-func DefaultShapes() []Shape {
-	return []Shape{
-		{Name: "uniform", Spec: testutil.DatasetSpec{N: 42, Categories: 3, AttrDim: 4, Extent: 100}},
-		{Name: "skewed", Spec: testutil.DatasetSpec{N: 60, Categories: 5, AttrDim: 3, Extent: 100, CategorySkew: 1.2}},
-		{Name: "zero-attr", Spec: testutil.DatasetSpec{N: 48, Categories: 2, AttrDim: 4, Extent: 60, ZeroAttrFrac: 0.3}},
-	}
-}
+// runs against (testutil.RecipeShapes).
+func DefaultShapes() []Shape { return testutil.RecipeShapes() }
 
 // Case is one reproducible differential scenario: the generation recipe
 // plus, after Generate, the materialized dataset and query.

@@ -13,6 +13,7 @@ import (
 	"spatialseq/internal/geo"
 	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
+	"spatialseq/internal/stats"
 	"spatialseq/internal/topk"
 )
 
@@ -35,6 +36,89 @@ type DatasetSpec struct {
 	// attribute vector — the zero-norm corner the cosine conventions
 	// (vectormath.Cos) and the tie-break contract must survive.
 	ZeroAttrFrac float64
+}
+
+// Shape names one dataset family a test suite sweeps.
+type Shape struct {
+	Name string
+	Spec DatasetSpec
+}
+
+// RecipeShapes returns the three dataset shapes the differential suite
+// (internal/testkit) runs against: uniform categories, Zipf-skewed
+// categories (one dominant category stresses dense candidate lists), and
+// a zero-attribute mix (the zero-norm cosine conventions and heavy score
+// ties).
+func RecipeShapes() []Shape {
+	return []Shape{
+		{Name: "uniform", Spec: DatasetSpec{N: 42, Categories: 3, AttrDim: 4, Extent: 100}},
+		{Name: "skewed", Spec: DatasetSpec{N: 60, Categories: 5, AttrDim: 3, Extent: 100, CategorySkew: 1.2}},
+		{Name: "zero-attr", Spec: DatasetSpec{N: 48, Categories: 2, AttrDim: 4, Extent: 60, ZeroAttrFrac: 0.3}},
+	}
+}
+
+// ShapedQuery is a validated query over its dataset, tagged with the
+// name of the shape that generated both.
+type ShapedQuery struct {
+	Shape string
+	Name  string
+	DS    *dataset.Dataset
+	Q     *query.Query
+}
+
+// EnumerationQueries returns the seeded queries the HSP and LORA
+// enumeration loops are held to their reference loops on: a dozen per
+// recipe shape, over CSEQ, SEQ and CSEQ-FP with tuple sizes 2-4, plus
+// edge shapes — "one-category" (every dimension shares one category, so
+// later candidate lists hold the earlier tuple objects), the same with a
+// pinned dimension, "ties" (a near-point extent and half the attribute
+// vectors zero), "no-attrs" (no attribute dimensions: every similarity
+// is 1) and "zero-attrs" (all-zero attribute vectors: every similarity
+// is 0).
+func EnumerationQueries() []ShapedQuery {
+	oneCat := DatasetSpec{N: 40, Categories: 1, AttrDim: 3, Extent: 60}
+	shapes := append(RecipeShapes(),
+		Shape{Name: "one-category", Spec: oneCat},
+		Shape{Name: "one-category-pinned", Spec: oneCat},
+		Shape{Name: "ties", Spec: DatasetSpec{N: 36, Categories: 2, AttrDim: 2, Extent: 0.001, ZeroAttrFrac: 0.5}},
+		Shape{Name: "no-attrs", Spec: DatasetSpec{N: 40, Categories: 2, Extent: 60}},
+		Shape{Name: "zero-attrs", Spec: DatasetSpec{N: 40, Categories: 2, AttrDim: 3, Extent: 60, ZeroAttrFrac: 1}},
+	)
+	ks := []int{1, 3, 5, 8}
+	alphas := []float64{0.3, 0.5, 0.9, 1}
+	betas := []float64{1.2, 1.5, 3}
+	var out []ShapedQuery
+	for si, sh := range shapes {
+		for i := 0; i < 12; i++ {
+			rng := rand.New(rand.NewSource(int64(100*si + i)))
+			ds := RandDatasetSpec(rng, sh.Spec)
+			m := 2 + i%3
+			params := query.Params{K: ks[i%4], Alpha: alphas[(i/2)%4], Beta: betas[i%3], GridD: 3 + i%3, Xi: 5}
+			q := RandQuery(rng, ds, m, sh.Spec.Extent*0.3, params)
+			switch {
+			case sh.Name == "one-category-pinned":
+				PinDims(rng, ds, q, i%m)
+			case i%4 == 1:
+				q.Variant = query.SEQ
+			case i%4 == 2:
+				PinDims(rng, ds, q, rng.Intn(m))
+			}
+			if err := q.Validate(ds); err != nil {
+				//lint:ignore panicfree test-support package: known-good configs, and tests want the crash
+				panic(err)
+			}
+			out = append(out, ShapedQuery{Shape: sh.Name, Name: fmt.Sprintf("%s/%d", sh.Name, i), DS: ds, Q: q})
+		}
+	}
+	return out
+}
+
+// EnumerationWork keeps a search's enumeration counters (HSP's DFS,
+// LORA's cell and point enumeration): the ones a change to an
+// enumeration loop is held to.
+func EnumerationWork(s stats.Snapshot) stats.Snapshot {
+	return stats.Snapshot{PrunedPrefixes: s.PrunedPrefixes, Tuples: s.Tuples, Offered: s.Offered,
+		CellTuples: s.CellTuples, PrunedCellPrefixes: s.PrunedCellPrefixes, RankPops: s.RankPops}
 }
 
 // RandDataset builds a dataset of n objects spread over extent x extent,
