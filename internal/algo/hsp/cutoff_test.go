@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"spatialseq/internal/dataset"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
-	"spatialseq/internal/simil"
 	"spatialseq/internal/stats"
 	"spatialseq/internal/testutil"
 	"spatialseq/internal/topk"
@@ -63,24 +63,14 @@ func (s *searcher) dfsPerCandidate(dim int, attrSum float64) (tailUsed int) {
 // searchPerCandidate is the sequential search with dfsPerCandidate in
 // place of dfs, over the same prepared subspaces.
 func searchPerCandidate(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Options) ([]topk.Entry, stats.Snapshot, int) {
-	sctx := simil.NewContext(ds, q)
-	radius := sctx.PartitionRadius()
-	if opt.DisablePartition {
-		radius = math.Inf(1)
-	}
-	part, err := buildIndex(ds).PartitionBucketed(radius)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap := topk.New(q.Params.K)
-	s, p, tailUsed := newSearcher(context.Background(), sctx, heap, opt), new(prepState), 0
-	for i := range part.Subspaces {
-		if skip, err := s.prepareInto(p, ds, q, &part.Subspaces[i]); err == nil && !skip {
-			s.attach(p)
-			tailUsed += s.dfsPerCandidate(0, 0)
-		}
-	}
-	return heap.Results(), stats.Snapshot{PrunedPrefixes: s.local.pruned, Tuples: s.local.tuples, Offered: s.local.offered}, tailUsed
+	tailUsed := 0
+	res, work := searchSequential(t, ds, q, opt, false,
+		func(s *searcher, p *prepState, ss *partition.Subspace) bool {
+			skip, err := s.prepareInto(p, ds, q, ss)
+			return err != nil || skip
+		},
+		func(s *searcher) { tailUsed += s.dfsPerCandidate(0, 0) })
+	return res, testutil.EnumerationWork(work), tailUsed
 }
 
 // TestCutoffMatchesPerCandidateLoop holds the sequential search to the

@@ -473,7 +473,8 @@ func (s *searcher) attach(p *prepState) {
 // prepareInto builds the per-subspace candidate lists and Eq. 6 suffix
 // maxima into p. It reports skip=true when some dimension has no
 // candidate (the subspace cannot produce a tuple) or a pinned object
-// falls outside the ac-subspace.
+// falls outside the ac-subspace. Each list is sorted only in its head,
+// the candidates the DFS can still reach (see sortHead).
 func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query, ss *partition.Subspace) (skip bool, err error) {
 	c := s.sctx
 	m := c.M
@@ -483,13 +484,12 @@ func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query
 	}
 	p.candTotal = 0
 	for d := 0; d < m; d++ {
+		region, source := ss.AC, ss.ACPoints
+		if d == 0 {
+			region, source = ss.Core, ss.CorePoints
+		}
 		if fixed := q.Example.FixedDim(d); fixed >= 0 {
-			loc := ds.Loc(int(fixed))
-			region := ss.AC
-			if d == 0 {
-				region = ss.Core
-			}
-			if !region.Contains(loc) {
+			if !region.Contains(ds.Loc(int(fixed))) {
 				return true, nil
 			}
 			p.cands[d] = append(p.cands[d][:0], simil.Cand{Pos: fixed, Sim: c.AttrSim(d, fixed)})
@@ -498,35 +498,68 @@ func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query
 			}
 			continue
 		}
-		source := ss.ACPoints
-		if d == 0 {
-			source = ss.CorePoints
-		}
-		p.cands[d] = s.candidatesInto(d, source, p.cands[d][:0])
+		p.cands[d] = s.candidatesInto(d, region, source, p.cands[d][:0])
 		if len(p.cands[d]) == 0 {
 			return true, nil
 		}
 	}
+	// Every list leads with its maximum.
 	p.rbarSuffix[m] = 0
 	for d := m - 1; d >= 0; d-- {
 		p.rbarSuffix[d] = p.rbarSuffix[d+1] + p.cands[d][0].Sim
 	}
+	var prefix float64
 	for d := 0; d < m; d++ {
+		best := p.cands[d][0].Sim
+		s.sortHead(p.cands[d], d, prefix, p.rbarSuffix)
+		prefix += best
 		p.candTotal += int64(len(p.cands[d]))
 	}
 	return false, nil
 }
 
-// candidatesInto wraps the blocked simil.Context.CandidatesBatchInto
-// with the per-worker buffer reuse and, on the shared-memo path, the
-// hit accounting (every AttrSim against a complete read-only table is
-// a hit).
-func (s *searcher) candidatesInto(dim int, positions []int32, dst []simil.Cand) []simil.Cand {
-	dst = s.sctx.CandidatesBatchInto(dst, dim, positions, &s.batch)
+// candidatesInto wraps simil.Context.RegionCandidatesInto with the
+// per-worker buffer reuse and, on the shared-memo path, the hit
+// accounting (every AttrSim against a complete read-only table is a
+// hit).
+func (s *searcher) candidatesInto(dim int, region geo.Rect, positions []int32, dst []simil.Cand) []simil.Cand {
+	dst = s.sctx.RegionCandidatesInto(dst, dim, region, positions, &s.batch)
 	if s.countHits {
 		s.local.memoHits += int64(len(dst))
 	}
 	return dst
+}
+
+// sortHead moves to the front of dim's list, and sorts, the candidates
+// that can still pass the DFS's attribute-only bound; the rest stay
+// unsorted behind them. A candidate can pass when its bound, taken at
+// prefix (the sum of the earlier dimensions' maxima, added in the DFS's
+// order), passes the threshold the sink holds now. The bound never
+// rises as the candidate's sim or the prefix sum falls, float addition
+// preserves order, and the threshold never falls. So every tail
+// candidate fails at every visit: the DFS cuts at or before the first
+// of them, and its cut count does not depend on the tail's order.
+func (s *searcher) sortHead(list []simil.Cand, dim int, prefix float64, rbarSuffix []float64) {
+	c := s.sctx
+	n := 0
+	for i, cand := range list {
+		if s.heap.WouldAccept(c.Combine(1, s.attrBound(prefix+cand.Sim, dim+1, rbarSuffix))) {
+			list[n], list[i] = list[i], list[n]
+			n++
+		}
+	}
+	simil.SortCandidates(list[:n])
+}
+
+// attrBound is the attribute-only bound on a tuple whose first next
+// dimensions sum to attrSum: Eq. 6, or DFS-Prune's under LooseBounds.
+//
+//seq:hotpath
+func (s *searcher) attrBound(attrSum float64, next int, rbarSuffix []float64) float64 {
+	if s.loose {
+		return s.sctx.AttrBoundLoose(attrSum, next)
+	}
+	return s.sctx.AttrBoundRefined(attrSum, next, rbarSuffix)
 }
 
 const checkEvery = 4096
@@ -555,18 +588,15 @@ func (s *searcher) dfs(dim int, attrSum float64, lo, hi int) error {
 			continue
 		}
 		sum := attrSum + cand.Sim
-		var attrBound float64
-		if s.loose {
-			attrBound = c.AttrBoundLoose(sum, dim+1)
-		} else {
-			attrBound = c.AttrBoundRefined(sum, dim+1, s.rbarSuffix)
-		}
+		attrBound := s.attrBound(sum, dim+1, s.rbarSuffix)
 		if !s.heap.WouldAccept(c.Combine(1, attrBound)) {
-			// The list is sorted by similarity, so the attribute-only
-			// bound never rises along it, and the top-k threshold never
-			// falls: every later candidate fails too. Cut the level and
-			// count what testing each of them would have pruned, which
-			// skips the earlier tuple objects the tail still holds.
+			// The list's head is sorted by similarity, so the
+			// attribute-only bound never rises along it, the top-k
+			// threshold never falls, and every unsorted tail candidate
+			// fails (sortHead): every later candidate fails too. Cut the
+			// level and count what testing each of them would have
+			// pruned, which skips the earlier tuple objects the tail
+			// still holds.
 			s.local.pruned += int64(len(level)-i) - int64(s.repeats[dim]-skipped)
 			break
 		}

@@ -32,6 +32,10 @@ var binaryMagic = [8]byte{'S', 'S', 'E', 'Q', 'D', 'S', 0, 1}
 // maxBinaryName caps stored name lengths (the encoding uses uint16).
 const maxBinaryName = 65535
 
+// attrBlock is the most floats (1 MiB) ReadBinary allocates for
+// attribute vectors before it has read them.
+const attrBlock = 1 << 17
+
 // WriteBinary writes d to w in the library's binary layout.
 func WriteBinary(w io.Writer, d *Dataset) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
@@ -161,9 +165,16 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		}
 		b.Category(name)
 	}
-	// one backing array for all attribute vectors
-	attrs := make([]float64, int(nObj)*int(attrDim))
+	// The attribute vectors share blocks of at most attrBlock floats, the
+	// last one sized to what remains, so a header that promises more
+	// objects than the input holds costs at most one block before the
+	// read fails. Build copies the vectors into its flat matrix.
+	perBlock := attrBlock / max(attrDim, 1)
+	var attrs []float64
 	for i := uint32(0); i < nObj; i++ {
+		if len(attrs) == 0 {
+			attrs = make([]float64, int(min(perBlock, nObj-i))*int(attrDim))
+		}
 		id, err := readU64()
 		if err != nil {
 			return nil, fmt.Errorf("dataset: reading object %d: %w", i, err)
@@ -184,7 +195,8 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		av := attrs[int(i)*int(attrDim) : (int(i)+1)*int(attrDim)]
+		av := attrs[:attrDim:attrDim]
+		attrs = attrs[attrDim:]
 		for j := range av {
 			bits, err := readU64()
 			if err != nil {

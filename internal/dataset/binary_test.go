@@ -2,8 +2,12 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
+
+	"spatialseq/internal/geo"
 )
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -79,6 +83,107 @@ func TestBinaryRejectsImplausibleHeader(t *testing.T) {
 	if _, err := ReadBinary(&buf); err == nil {
 		t.Error("implausible header should be rejected")
 	}
+}
+
+// header returns a binary dataset header promising nCat categories,
+// nObj objects and attrDim attributes, with no body behind it.
+func header(nCat, nObj, attrDim uint32) []byte {
+	out := append([]byte{}, binaryMagic[:]...)
+	for _, v := range []uint32{nCat, nObj, attrDim} {
+		out = binary.LittleEndian.AppendUint32(out, v)
+	}
+	return out
+}
+
+// TestBinaryHugeHeaderAllocatesByBytesRead: a 20-byte file whose header
+// promises 2^30 objects used to size one attribute array by the header
+// alone (a makeslice panic at 2^16 attributes, tens of GB below that).
+// The read now allocates attribute blocks of at most attrBlock floats,
+// so it fails on the missing first object having allocated a few MiB.
+func TestBinaryHugeHeaderAllocatesByBytesRead(t *testing.T) {
+	for _, attrDim := range []uint32{1 << 16, 1000, 1} {
+		data := header(0, 1<<30, attrDim)
+		if len(data) != 20 {
+			t.Fatalf("header is %d bytes, want 20", len(data))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("attrDim %d: a header without objects should fail", attrDim)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+			t.Errorf("attrDim %d: allocated %d bytes reading a 20-byte file", attrDim, got)
+		}
+	}
+}
+
+// TestBinaryRoundTripAcrossAttrBlocks: vectors that span several
+// attribute blocks, the last one partial, read back exactly.
+func TestBinaryRoundTripAcrossAttrBlocks(t *testing.T) {
+	const attrDim, n = 1000, 300 // 131 objects per block: blocks of 131, 131 and 38
+	b := &Builder{}
+	cat := b.Category("c")
+	for i := 0; i < n; i++ {
+		attr := make([]float64, attrDim)
+		for j := range attr {
+			attr[j] = float64(i*attrDim + j)
+		}
+		b.Add(Object{ID: int64(i), Loc: geo.Point{X: float64(i), Y: 1}, Category: cat, Attr: attr})
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, ds); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != n || got.AttrDim() != attrDim {
+		t.Fatalf("read %d objects of %d attributes", got.Len(), got.AttrDim())
+	}
+	for i := 0; i < n; i++ {
+		for j, v := range got.Attr(i) {
+			if v != float64(i*attrDim+j) {
+				t.Fatalf("object %d attribute %d = %g", i, j, v)
+			}
+		}
+	}
+}
+
+// FuzzReadBinary: no input makes ReadBinary panic, and whatever it
+// accepts writes back and reads again unchanged.
+func FuzzReadBinary(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, buildSmall(f)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(header(0, 1<<30, 1<<16))
+	f.Add(header(1, 0, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ds, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteBinary(&out, ds); err != nil {
+			return // e.g. a name longer than the format's limit
+		}
+		again, err := ReadBinary(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading a written dataset: %v", err)
+		}
+		if again.Len() != ds.Len() || again.AttrDim() != ds.AttrDim() || again.NumCategories() != ds.NumCategories() {
+			t.Fatalf("round trip changed the shape: %d/%d/%d -> %d/%d/%d",
+				ds.Len(), ds.AttrDim(), ds.NumCategories(), again.Len(), again.AttrDim(), again.NumCategories())
+		}
+	})
 }
 
 func TestBinaryFileRoundTrip(t *testing.T) {

@@ -159,6 +159,10 @@ func (b *Builder) Build() (*Dataset, error) {
 		for _, a := range o.Attr {
 			sq += a * a
 		}
+		if math.IsInf(sq, 1) {
+			// Cosines against it would be 0 or NaN, not the true value.
+			return nil, fmt.Errorf("dataset: object %d's attribute vector is too large: its squared norm overflows", o.ID)
+		}
 		ds.attrNorms[i] = math.Sqrt(sq)
 	}
 	return ds, nil

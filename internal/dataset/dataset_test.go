@@ -8,7 +8,7 @@ import (
 	"spatialseq/internal/geo"
 )
 
-func buildSmall(t *testing.T) *Dataset {
+func buildSmall(t testing.TB) *Dataset {
 	t.Helper()
 	b := &Builder{}
 	ca := b.Category("restaurant")
@@ -99,6 +99,26 @@ func TestBuilderRejectsBadInput(t *testing.T) {
 		b.Add(c.obj(b))
 		if _, err := b.Build(); err == nil {
 			t.Errorf("%s: Build should fail", c.name)
+		}
+	}
+}
+
+// TestBuildRejectsOverflowingNorm: an attribute vector whose squared
+// norm overflows has an infinite norm, so its cosines would read 0 or
+// NaN. Build rejects it and keeps a large vector whose square still fits.
+func TestBuildRejectsOverflowingNorm(t *testing.T) {
+	for _, c := range []struct {
+		attr []float64
+		ok   bool
+	}{
+		{[]float64{1e200, 1}, false},
+		{[]float64{1e154, 1e154}, false},
+		{[]float64{1e150, 1}, true},
+	} {
+		b := &Builder{}
+		b.Add(Object{ID: 7, Category: b.Category("c"), Attr: c.attr})
+		if _, err := b.Build(); (err == nil) != c.ok {
+			t.Errorf("Build with attributes %v: err = %v, want ok = %v", c.attr, err, c.ok)
 		}
 	}
 }

@@ -234,10 +234,16 @@ func (e *Example) Validate(ds *dataset.Dataset) error {
 		if len(a) != ds.AttrDim() {
 			return fmt.Errorf("query: dimension %d has %d attributes, dataset wants %d", i, len(a), ds.AttrDim())
 		}
+		var sq float64
 		for _, v := range a {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 				return fmt.Errorf("query: dimension %d has invalid attribute %g", i, v)
 			}
+			sq += v * v
+		}
+		if math.IsInf(sq, 1) {
+			// Cosines against it would be 0 or NaN, not the true value.
+			return fmt.Errorf("query: dimension %d's attribute vector is too large: its squared norm overflows", i)
 		}
 	}
 	for _, sp := range e.SkipPairs {

@@ -181,6 +181,28 @@ func TestQueryValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsOverflowingNorm: an example attribute vector whose
+// squared norm overflows would score NaN against an object with the
+// same attributes and 0 against {1, 1}, where the true cosine is about
+// 0.71. Validate rejects it; the server answers such a request with 400.
+func TestValidateRejectsOverflowingNorm(t *testing.T) {
+	ds := smallDS(t)
+	for _, c := range []struct {
+		attr []float64
+		ok   bool
+	}{
+		{[]float64{1e200, 1}, false},
+		{[]float64{1e154, 1e154}, false},
+		{[]float64{1e150, 1}, true},
+	} {
+		q := &Query{Variant: CSEQ, Example: validExample()}
+		q.Example.Attrs[1] = c.attr
+		if err := q.Validate(ds); (err == nil) != c.ok {
+			t.Errorf("Validate with attributes %v: err = %v, want ok = %v", c.attr, err, c.ok)
+		}
+	}
+}
+
 func TestEffectiveBeta(t *testing.T) {
 	q := &Query{Variant: SEQ, Params: Params{Beta: 1.5}}
 	if !math.IsInf(q.EffectiveBeta(), 1) {

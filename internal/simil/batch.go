@@ -86,7 +86,8 @@ func (c *Context) attrSimBatchDirect(dim int, positions []int32, dst []float64) 
 }
 
 // BatchScratch carries the reusable position/similarity buffers of
-// CandidatesBatchInto so steady-state calls allocate nothing.
+// CandidatesBatchInto and RegionCandidatesInto so steady-state calls
+// allocate nothing.
 type BatchScratch struct {
 	pos  []int32
 	sims []float64
@@ -98,13 +99,56 @@ type BatchScratch struct {
 // identical to CandidatesInto (same filter order, same sims, same
 // sort), under every memo mode.
 func (c *Context) CandidatesBatchInto(dst []Cand, dim int, positions []int32, bs *BatchScratch) []Cand {
-	cat := c.Ex.Categories[dim]
+	bs.pos = c.appendOfCategory(bs.pos[:0], dim, positions)
+	dst = c.appendScored(dst, dim, bs)
+	SortCandidates(dst)
+	return dst
+}
+
+// RegionCandidatesInto appends to dst, unsorted, every object of dim's
+// category that region contains, scored with AttrSimBatch. positions
+// must hold exactly the dataset points region contains (a subspace's
+// CorePoints for its Core, its ACPoints for its AC). The call gathers
+// from whichever of positions and the category's object list is
+// shorter; both give the same set. A candidate with the largest
+// similarity leads the appended run. Sims, memo fills and memo counters
+// equal CandidatesBatchInto's over the same positions; only the order
+// differs.
+func (c *Context) RegionCandidatesInto(dst []Cand, dim int, region geo.Rect, positions []int32, bs *BatchScratch) []Cand {
 	bs.pos = bs.pos[:0]
-	for _, pos := range positions {
-		if c.DS.Category(int(pos)) == cat {
-			bs.pos = append(bs.pos, pos)
+	if objs := c.DS.CategoryObjects(c.Ex.Categories[dim]); len(objs) < len(positions) {
+		for _, pos := range objs {
+			if region.Contains(c.DS.Loc(int(pos))) {
+				bs.pos = append(bs.pos, pos)
+			}
+		}
+	} else {
+		bs.pos = c.appendOfCategory(bs.pos, dim, positions)
+	}
+	base := len(dst)
+	dst = c.appendScored(dst, dim, bs)
+	for i := base + 1; i < len(dst); i++ {
+		if dst[i].Sim > dst[base].Sim {
+			dst[base], dst[i] = dst[i], dst[base]
 		}
 	}
+	return dst
+}
+
+// appendOfCategory appends the positions of dim's category to dst.
+func (c *Context) appendOfCategory(dst []int32, dim int, positions []int32) []int32 {
+	cat := c.Ex.Categories[dim]
+	for _, pos := range positions {
+		if c.DS.Category(int(pos)) == cat {
+			dst = append(dst, pos)
+		}
+	}
+	return dst
+}
+
+// appendScored scores bs.pos with AttrSimBatch and appends the
+// candidates to dst in that order.
+func (c *Context) appendScored(dst []Cand, dim int, bs *BatchScratch) []Cand {
 	if len(bs.pos) == 0 {
 		return dst
 	}
@@ -116,7 +160,6 @@ func (c *Context) CandidatesBatchInto(dst []Cand, dim int, positions []int32, bs
 	for i, pos := range bs.pos {
 		dst = append(dst, Cand{Pos: pos, Sim: sims[i]})
 	}
-	SortCandidates(dst)
 	return dst
 }
 

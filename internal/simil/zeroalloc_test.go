@@ -7,7 +7,8 @@ import (
 
 // The per-candidate scoring kernels must not allocate once scratch
 // capacity is warm: DistVectorOfPositions on the common (no mask,
-// Euclidean) SoA path, and AttrSim's prenormed dot product.
+// Euclidean) SoA path, AttrSim's prenormed dot product, and the
+// region gather HSP builds its candidate lists with.
 
 func TestDistVectorOfPositionsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -64,5 +65,25 @@ func TestScratchPushPopZeroAlloc(t *testing.T) {
 		s.Pop(n1)
 	}); got != 0 {
 		t.Errorf("Scratch Push/Pop allocates %v times per call, want 0", got)
+	}
+}
+
+func TestRegionCandidatesIntoZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	c, _ := newCtx(t, rng, 3, 1.5)
+	all := make([]int32, c.DS.Len())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	bounds := c.DS.Bounds()
+	// All positions walk the (shorter) category list; a handful scan.
+	for _, positions := range [][]int32{all, all[:4]} {
+		var bs BatchScratch
+		dst := c.RegionCandidatesInto(nil, 0, bounds, positions, &bs) // warm the buffers
+		if got := testing.AllocsPerRun(100, func() {
+			dst = c.RegionCandidatesInto(dst[:0], 0, bounds, positions, &bs)
+		}); got != 0 {
+			t.Errorf("RegionCandidatesInto over %d positions with warm buffers allocates %v times per call, want 0", len(positions), got)
+		}
 	}
 }

@@ -19,6 +19,7 @@ run() { # run <pkg> <target>
     go test "$1" -run '^$' -fuzz "$2" -fuzztime "$FUZZTIME"
 }
 
+run ./internal/dataset FuzzReadBinary
 run ./internal/geo FuzzDistVector
 run ./internal/server FuzzServerDecode
 run ./internal/testkit FuzzSearch
