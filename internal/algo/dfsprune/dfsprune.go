@@ -30,24 +30,15 @@ import (
 // (the paper reports ">24hours" cells for this baseline); on cancellation
 // Search returns ctx.Err() and a nil result.
 func Search(ctx context.Context, ds *dataset.Dataset, q *query.Query) ([]topk.Entry, error) {
-	return SearchStats(ctx, ds, q, nil)
+	return SearchObserved(ctx, ds, q, nil, nil, span.Span{})
 }
 
-// SearchStats is Search with optional per-search counters.
-func SearchStats(ctx context.Context, ds *dataset.Dataset, q *query.Query, st *stats.Stats) ([]topk.Entry, error) {
-	return SearchTraced(ctx, ds, q, st, nil)
-}
-
-// SearchTraced is SearchStats with optional per-phase wall-time tracing
-// (candidate enumeration, DFS, top-k merge). Both st and tr may be nil.
-func SearchTraced(ctx context.Context, ds *dataset.Dataset, q *query.Query, st *stats.Stats, tr *obs.Trace) ([]topk.Entry, error) {
-	return SearchObserved(ctx, ds, q, st, tr, span.Span{})
-}
-
-// SearchObserved is SearchTraced with hierarchical span tracing nested
-// under parent: the baseline runs one worker over one whole-space
-// "subspace", so its timeline is a single lane. The zero parent Span
-// disables span tracing at no cost.
+// SearchObserved is Search with optional per-search counters, per-phase
+// wall-time tracing (candidate enumeration, DFS, top-k merge) and
+// hierarchical span tracing nested under parent: the baseline runs one
+// worker over one whole-space "subspace", so its timeline is a single
+// lane. st and tr may be nil; the zero parent Span disables span tracing
+// at no cost.
 func SearchObserved(ctx context.Context, ds *dataset.Dataset, q *query.Query, st *stats.Stats, tr *obs.Trace, parent span.Span) ([]topk.Entry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -19,7 +19,6 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"spatialseq/internal/algo/sched"
@@ -56,8 +55,8 @@ type Options struct {
 	// longer caps speedup. <= 1 searches sequentially; negative uses
 	// GOMAXPROCS.
 	Parallelism int
-	// Steal tunes the work-unit scheduler of the parallel path (chunk
-	// sizing of the stolen dim-0 ranges). The zero value auto-sizes.
+	// Steal sizes the stolen dim-0 chunks of the parallel path (see
+	// sched.Tuning). The zero value auto-sizes.
 	Steal sched.Tuning
 	// Own, when non-nil, restricts the search to the subspaces whose core
 	// rectangle it claims. The sharded serving tier hands each shard a
@@ -79,12 +78,12 @@ type Options struct {
 	// the phase times sum across workers and can exceed wall time.
 	Trace *obs.Trace
 	// Span, when live, is the parent span the search nests its
-	// hierarchical timeline under. The sequential path opens one worker
-	// lane with a subspace span per searched subspace; the parallel path
-	// opens one "hsp.prep" / "hsp.chunk" unit span per stolen work unit,
+	// hierarchical timeline under: one "hsp.candidates" unit span per
+	// subspace prep and one "hsp.dfs" unit span per enumerated chunk,
 	// each tagged with both its worker lane and owning subspace and
-	// carrying that unit's work-counter delta. The zero Span disables
-	// span tracing at no cost.
+	// carrying that unit's work-counter delta. Sequential searches run
+	// every unit on lane 0, one chunk per searched subspace. The zero
+	// Span disables span tracing at no cost.
 	Span span.Span
 }
 
@@ -147,81 +146,25 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 		ssp.End()
 		sp.End()
 	}
-	if workers <= 1 {
-		var heap topk.ResultSink = topk.New(q.Params.K)
-		if opt.Sink != nil {
-			heap = opt.Sink
-		}
-		s := newSearcher(ctx, sctx, heap, opt)
-		ws := opt.Span.Worker("hsp.worker", 0)
-		for i, ss := range work {
-			sub := ws.Subspace("hsp.subspace", i)
-			if err := s.searchSubspace(ds, q, ss, sub); err != nil {
-				ws.End()
-				return nil, err
-			}
-		}
-		ws.End()
-		h, mi := sctx.MemoCounters()
-		opt.Stats.AddAttrSimMemoHits(h)
-		opt.Stats.AddAttrSimMemoMisses(mi)
-		sp = opt.Trace.Start("topk.merge")
-		msp := opt.Span.Child("topk.merge")
-		res := heap.Results()
-		msp.End()
-		sp.End()
-		return res, nil
-	}
-
-	var sink topk.ResultSink = topk.NewConcurrent(q.Params.K)
-	if opt.Sink != nil {
+	var sink topk.ResultSink
+	switch {
+	case opt.Sink != nil:
 		sink = opt.Sink
+	case workers > 1:
+		sink = topk.NewConcurrent(q.Params.K)
+	default:
+		sink = topk.New(q.Params.K)
 	}
-	tun := opt.Steal
-	if tun.MinChunk <= 0 {
-		tun.MinChunk = hspMinChunk
+	err = sched.Run(len(work), workers, hspMinChunk, opt.Steal, func() sched.Worker[prepState] {
+		return newSearcher(ctx, sctx, sink, q, work, opt)
+	})
+	if err != nil {
+		return nil, err
 	}
-	run := &stealRun{
-		sch:   sched.New(len(work), workers, tun),
-		work:  work,
-		preps: make([]*prepState, len(work)),
-	}
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		callErr error
-	)
-	record := func(err error) {
-		errOnce.Do(func() { callErr = err })
-		run.sch.Abort()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := newSearcher(ctx, sctx, sink, opt)
-			for {
-				u, ok := run.sch.Acquire()
-				if !ok {
-					return
-				}
-				var err error
-				if u.Prep {
-					err = s.prepUnit(ds, q, run, u.Sub, w, opt.Span)
-				} else {
-					err = s.chunkUnit(run, u, w, opt.Span)
-				}
-				if err != nil {
-					record(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if callErr != nil {
-		return nil, callErr
-	}
+	// The lazy memo's counters; a shared memo leaves them at zero.
+	h, mi := sctx.MemoCounters()
+	opt.Stats.AddAttrSimMemoHits(h)
+	opt.Stats.AddAttrSimMemoMisses(mi)
 	sp = opt.Trace.Start("topk.merge")
 	msp := opt.Span.Child("topk.merge")
 	res := sink.Results()
@@ -230,125 +173,14 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	return res, nil
 }
 
-// stealRun is the shared state of one parallel stealing search: the
-// work-unit scheduler, the prepared-subspace handoff slots, and a small
-// recycling pool of prep states (bounded by the worker count, because
-// the scheduler drains queued chunks before starting new preps).
-// preps[i] is written by the preparing worker before Publish and read
-// by chunk workers after Acquire; the scheduler's lock orders the two.
-type stealRun struct {
-	sch   *sched.Scheduler
-	work  []*partition.Subspace
-	preps []*prepState
-
-	mu   sync.Mutex
-	pool []*prepState
-}
-
-func (r *stealRun) take() *prepState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := len(r.pool); n > 0 {
-		p := r.pool[n-1]
-		r.pool = r.pool[:n-1]
-		return p
-	}
-	return new(prepState)
-}
-
-func (r *stealRun) put(p *prepState) {
-	r.mu.Lock()
-	r.pool = append(r.pool, p)
-	r.mu.Unlock()
-}
-
-// prepUnit prepares one subspace — exactly once per subspace, keeping
-// the Lemma-1 discipline — and publishes its dim-0 candidate range to
-// the scheduler as steal-able chunks. The prep span carries the
-// subspace-level work delta (candidate volume, skip marks, memo hits);
-// enumeration counters land on the chunk spans.
-func (s *searcher) prepUnit(ds *dataset.Dataset, q *query.Query, run *stealRun, sub, w int, parent span.Span) error {
-	s.local = localCounters{}
-	var t0 time.Time
-	if s.tr != nil {
-		t0 = time.Now()
-	}
-	p := run.take()
-	sp := parent.Unit("hsp.prep", w, sub)
-	skip, err := s.prepareInto(p, ds, q, run.work[sub])
-	if s.tr != nil {
-		s.tr.Add("hsp.candidates", time.Since(t0))
-	}
-	if err != nil || skip {
-		if skip {
-			s.st.AddSubspacesSkipped(1)
-			sp.EndWork(stats.Snapshot{SubspacesSkipped: 1, AttrSimMemoHits: s.local.memoHits})
-		} else {
-			sp.End()
-		}
-		s.st.AddAttrSimMemoHits(s.local.memoHits)
-		run.sch.Publish(sub, 0)
-		run.put(p)
-		return err
-	}
-	s.st.AddSubspaces(1)
-	s.st.AddCandidates(p.candTotal)
-	s.st.RaiseSubspaceCandidates(p.candTotal)
-	s.st.AddAttrSimMemoHits(s.local.memoHits)
-	sp.EndWork(stats.Snapshot{
-		Subspaces:             1,
-		Candidates:            p.candTotal,
-		AttrSimMemoHits:       s.local.memoHits,
-		SubspaceCandidatesMax: p.candTotal,
-	})
-	run.preps[sub] = p
-	if run.sch.Publish(sub, len(p.cands[0])) == 0 {
-		// Aborted before any chunk was queued: no Done will follow, so
-		// reclaim the prepared state here.
-		run.preps[sub] = nil
-		run.put(p)
-	}
-	return nil
-}
-
-// chunkUnit runs Exact-DFS over one stolen chunk: the dim-0 candidate
-// range [u.Lo, u.Hi) of an already-prepared subspace. The chunk span
-// carries the enumeration work delta, attributed to the owning
-// subspace, so Tree.Skew keeps measuring per-lane busy time and the
-// straggler attribution keeps naming the heaviest subspace.
-func (s *searcher) chunkUnit(run *stealRun, u sched.Unit, w int, parent span.Span) error {
-	p := run.preps[u.Sub]
-	s.local = localCounters{}
-	var t0 time.Time
-	if s.tr != nil {
-		t0 = time.Now()
-	}
-	sp := parent.Unit("hsp.chunk", w, u.Sub)
-	s.attach(p)
-	err := s.dfs(0, 0, u.Lo, u.Hi)
-	if s.tr != nil {
-		s.tr.Add("hsp.dfs", time.Since(t0))
-	}
-	s.st.AddPrunedPrefixes(s.local.pruned)
-	s.st.AddTuples(s.local.tuples)
-	s.st.AddOffered(s.local.offered)
-	sp.EndWork(stats.Snapshot{
-		PrunedPrefixes: s.local.pruned,
-		Tuples:         s.local.tuples,
-		Offered:        s.local.offered,
-	})
-	if run.sch.Done(u.Sub) {
-		run.preps[u.Sub] = nil
-		run.put(p)
-	}
-	return err
-}
-
-func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, opt Options) *searcher {
+func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, work []*partition.Subspace, opt Options) *searcher {
 	return &searcher{
 		ctx:     ctx,
 		sctx:    sctx,
 		heap:    sink,
+		q:       q,
+		work:    work,
+		span:    opt.Span,
 		tuple:   make([]int32, sctx.M),
 		scratch: sctx.NewScratch(),
 		loose:   opt.LooseBounds,
@@ -361,61 +193,68 @@ func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, opt O
 	}
 }
 
-// searchSubspace prepares and runs Exact-DFS over one subspace — the
-// sequential path, where prep and enumeration stay on one goroutine.
-// The sub span (a no-op when span tracing is off) is closed on every
-// return path, carrying this subspace's work-counter delta.
-func (s *searcher) searchSubspace(ds *dataset.Dataset, q *query.Query, ss *partition.Subspace, sub span.Span) error {
+// Prep gathers subspace sub's candidate lists into p — exactly once per
+// subspace, keeping the Lemma-1 discipline — and returns its dim-0
+// candidate count, 0 when the subspace is skipped. The "hsp.candidates"
+// unit span carries the subspace-level work delta (candidate volume,
+// skip marks, memo hits); enumeration counters land on Chunk's spans.
+func (s *searcher) Prep(p *prepState, w, sub int) (int, error) {
 	s.local = localCounters{}
 	var t0 time.Time
 	if s.tr != nil {
 		t0 = time.Now()
 	}
-	csp := sub.Child("hsp.candidates")
-	if s.own == nil {
-		s.own = new(prepState)
-	}
-	skip, err := s.prepareInto(s.own, ds, q, ss)
-	csp.End()
+	sp := s.span.Unit("hsp.candidates", w, sub)
+	skip, err := s.prepareInto(p, s.sctx.DS, s.q, s.work[sub])
 	if s.tr != nil {
 		s.tr.Add("hsp.candidates", time.Since(t0))
 	}
-	if err != nil || skip {
-		if skip {
-			s.st.AddSubspacesSkipped(1)
-			sub.EndWork(stats.Snapshot{SubspacesSkipped: 1, AttrSimMemoHits: s.local.memoHits})
-		} else {
-			sub.End()
-		}
-		s.st.AddAttrSimMemoHits(s.local.memoHits)
-		return err
+	s.st.AddAttrSimMemoHits(s.local.memoHits)
+	if err != nil {
+		sp.End()
+		return 0, err
+	}
+	if skip {
+		s.st.AddSubspacesSkipped(1)
+		sp.EndWork(stats.Snapshot{SubspacesSkipped: 1, AttrSimMemoHits: s.local.memoHits})
+		return 0, nil
 	}
 	s.st.AddSubspaces(1)
-	candTotal := s.own.candTotal
-	s.st.AddCandidates(candTotal)
-	s.st.RaiseSubspaceCandidates(candTotal)
+	s.st.AddCandidates(p.candTotal)
+	s.st.RaiseSubspaceCandidates(p.candTotal)
+	sp.EndWork(stats.Snapshot{
+		Subspaces:             1,
+		Candidates:            p.candTotal,
+		AttrSimMemoHits:       s.local.memoHits,
+		SubspaceCandidatesMax: p.candTotal,
+	})
+	return len(p.cands[0]), nil
+}
+
+// Chunk runs Exact-DFS over the dim-0 candidate range [lo, hi) of
+// subspace sub, prepared in p. The "hsp.dfs" unit span carries the
+// enumeration work delta, attributed to the owning subspace, so
+// Tree.Skew keeps measuring per-lane busy time and the straggler
+// attribution keeps naming the heaviest subspace.
+func (s *searcher) Chunk(p *prepState, w, sub, lo, hi int) error {
+	s.local = localCounters{}
+	var t0 time.Time
 	if s.tr != nil {
 		t0 = time.Now()
 	}
-	dsp := sub.Child("hsp.dfs")
-	s.attach(s.own)
-	err = s.dfs(0, 0, 0, len(s.cands[0]))
-	dsp.End()
+	sp := s.span.Unit("hsp.dfs", w, sub)
+	s.attach(p)
+	err := s.dfs(0, 0, lo, hi)
 	if s.tr != nil {
 		s.tr.Add("hsp.dfs", time.Since(t0))
 	}
 	s.st.AddPrunedPrefixes(s.local.pruned)
 	s.st.AddTuples(s.local.tuples)
 	s.st.AddOffered(s.local.offered)
-	s.st.AddAttrSimMemoHits(s.local.memoHits)
-	sub.EndWork(stats.Snapshot{
-		Subspaces:             1,
-		Candidates:            candTotal,
-		PrunedPrefixes:        s.local.pruned,
-		Tuples:                s.local.tuples,
-		Offered:               s.local.offered,
-		AttrSimMemoHits:       s.local.memoHits,
-		SubspaceCandidatesMax: candTotal,
+	sp.EndWork(stats.Snapshot{
+		PrunedPrefixes: s.local.pruned,
+		Tuples:         s.local.tuples,
+		Offered:        s.local.offered,
 	})
 	return err
 }
@@ -427,11 +266,10 @@ type localCounters struct {
 }
 
 // prepState is one subspace's prepared search state: the per-dimension
-// candidate lists and Eq. 6 suffix maxima. On the sequential path each
-// searcher owns one and reuses it across subspaces; on the stealing
-// path prep states are pooled, handed from the preparing worker to
-// chunk workers (read-only during enumeration), and recycled when the
-// subspace's last chunk finishes.
+// candidate lists and Eq. 6 suffix maxima. sched.Run pools prep states,
+// hands each from the preparing worker to the chunk workers (read-only
+// during enumeration), and recycles it when the subspace's last chunk
+// finishes.
 type prepState struct {
 	cands      [][]simil.Cand
 	rbarSuffix []float64
@@ -442,6 +280,9 @@ type searcher struct {
 	ctx       context.Context
 	sctx      *simil.Context
 	heap      topk.Sink
+	q         *query.Query
+	work      []*partition.Subspace
+	span      span.Span
 	tuple     []int32
 	scratch   *simil.Scratch
 	batch     simil.BatchScratch
@@ -451,9 +292,8 @@ type searcher struct {
 	// list holds (see sameCategoryBefore).
 	repeats []int
 
-	// own is the sequential path's reusable prep state; cands/rbarSuffix
-	// are views of whichever prep state is attached for the current DFS.
-	own        *prepState
+	// cands/rbarSuffix are views of the prep state attached for the
+	// current DFS.
 	cands      [][]simil.Cand
 	rbarSuffix []float64
 	steps      int

@@ -49,7 +49,7 @@ func searchSequential(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Opt
 		}
 	}
 	heap := topk.New(q.Params.K)
-	s, p := newSearcher(context.Background(), sctx, heap, opt), new(prepState)
+	s, p := newSearcher(context.Background(), sctx, heap, q, nil, opt), new(prepState)
 	for _, ss := range work {
 		if prep(s, p, ss) {
 			snap.SubspacesSkipped++

@@ -2,21 +2,26 @@ package hsp
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"spatialseq/internal/dataset"
 	"spatialseq/internal/obs/span"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/stats"
 	"spatialseq/internal/testutil"
 )
 
-// TestSpanTimeline verifies the unit-span tree a parallel (stealing)
-// HSP search records: one "hsp.prep" span per subspace carrying the
-// subspace-level delta (searched/skipped marks, candidate volume, memo
-// hits), one "hsp.chunk" span per stolen enumeration unit carrying the
-// DFS delta, every unit tagged with both its worker lane and owning
+// TestSpanTimeline verifies the unit-span tree an HSP search records,
+// sequential and parallel alike: one "hsp.candidates" span per subspace
+// carrying the subspace-level delta (searched/skipped marks, candidate
+// volume, memo hits), one "hsp.dfs" span per enumerated chunk carrying
+// the DFS delta, every unit tagged with both its worker lane and owning
 // subspace, and the per-unit deltas summing to the query-wide counters.
+// A sequential search runs every unit on lane 0, in subspace order, with
+// one chunk per searched subspace.
 func TestSpanTimeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	ds := testutil.RandDataset(rng, 300, 3, 4, 100)
@@ -26,11 +31,19 @@ func TestSpanTimeline(t *testing.T) {
 	if err := q.Validate(ds); err != nil {
 		t.Fatal(err)
 	}
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			checkSpanTimeline(t, ds, ix, q, par)
+		})
+	}
+}
+
+func checkSpanTimeline(t *testing.T, ds *dataset.Dataset, ix *partition.Index, q *query.Query, par int) {
 	st := &stats.Stats{}
 	tr := span.NewTracer()
 	root := tr.Root("search")
 	if _, err := Search(context.Background(), ds, ix, q, Options{
-		Parallelism: 4, Stats: st, Span: root,
+		Parallelism: par, Stats: st, Span: root,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -46,20 +59,28 @@ func TestSpanTimeline(t *testing.T) {
 	var prepSpans, chunkSpans int
 	var workSubspaces, workSkipped, workCand, workHits, maxCand int64
 	var workPruned, workTuples, workOffered int64
+	lastSub := int32(-1)
 	for _, n := range tree.Nodes {
 		switch n.Name {
-		case "hsp.prep":
-			prepSpans++
-			if n.Subspace < 0 {
-				t.Error("prep span without subspace tag")
+		case "hsp.candidates", "hsp.dfs":
+			if n.Subspace < 0 || n.Worker < 0 {
+				t.Errorf("%s span untagged: worker %d subspace %d", n.Name, n.Worker, n.Subspace)
 			}
-			if n.Worker < 0 {
-				t.Error("prep span outside a worker lane")
+			if n.Work == nil {
+				t.Fatalf("%s span without work delta", n.Name)
 			}
 			workers[n.Worker] = true
-			if n.Work == nil {
-				t.Fatal("prep span without work delta")
+			if par == 1 && n.Subspace < lastSub {
+				t.Errorf("sequential %s span for subspace %d after subspace %d", n.Name, n.Subspace, lastSub)
 			}
+			lastSub = n.Subspace
+		case "search", "hsp.partition", "hsp.simprep", "topk.merge":
+		default:
+			t.Errorf("unexpected %q span", n.Name)
+		}
+		switch n.Name {
+		case "hsp.candidates":
+			prepSpans++
 			workSubspaces += n.Work.Subspaces
 			workSkipped += n.Work.SubspacesSkipped
 			workCand += n.Work.Candidates
@@ -74,28 +95,16 @@ func TestSpanTimeline(t *testing.T) {
 			if n.Work.SubspaceCandidatesMax > maxCand {
 				maxCand = n.Work.SubspaceCandidatesMax
 			}
-		case "hsp.chunk":
+		case "hsp.dfs":
 			chunkSpans++
-			if n.Subspace < 0 {
-				t.Error("chunk span without subspace tag")
-			}
-			if n.Worker < 0 {
-				t.Error("chunk span outside a worker lane")
-			}
-			workers[n.Worker] = true
-			if n.Work == nil {
-				t.Fatal("chunk span without work delta")
-			}
 			chunkSubs[n.Subspace] = true
 			workPruned += n.Work.PrunedPrefixes
 			workTuples += n.Work.Tuples
 			workOffered += n.Work.Offered
-		case "hsp.worker", "hsp.subspace":
-			t.Errorf("parallel path recorded legacy %q span", n.Name)
 		}
 	}
-	if len(workers) == 0 || len(workers) > 4 {
-		t.Errorf("got %d worker lanes, want 1..4", len(workers))
+	if len(workers) == 0 || len(workers) > par || (par == 1 && !workers[0]) {
+		t.Errorf("got worker lanes %v, want 1..%d from 0", workers, par)
 	}
 	snap := st.Snapshot()
 	if prepSpans == 0 || workSubspaces+workSkipped != snap.Subspaces+snap.SubspacesSkipped {
@@ -105,15 +114,17 @@ func TestSpanTimeline(t *testing.T) {
 	if workCand != snap.Candidates {
 		t.Errorf("prep candidate deltas sum to %d, counters say %d", workCand, snap.Candidates)
 	}
-	if workHits != snap.AttrSimMemoHits {
+	// A parallel search's shared memo counts hits per unit; a sequential
+	// search's lazy memo counts them in the Context, outside any span.
+	if par > 1 && workHits != snap.AttrSimMemoHits {
 		t.Errorf("prep memo-hit deltas sum to %d, counters say %d", workHits, snap.AttrSimMemoHits)
 	}
 	if snap.SubspaceCandidatesMax != maxCand {
 		t.Errorf("SubspaceCandidatesMax = %d, want the span-tree max %d", snap.SubspaceCandidatesMax, maxCand)
 	}
-	// Every searched subspace published at least one chunk, and every
-	// chunk belongs to a searched subspace.
-	if chunkSpans < len(searched) {
+	// Every searched subspace published at least one chunk (exactly one
+	// when sequential), and every chunk belongs to a searched subspace.
+	if chunkSpans < len(searched) || (par == 1 && chunkSpans != len(searched)) {
 		t.Errorf("%d chunk spans for %d searched subspaces", chunkSpans, len(searched))
 	}
 	if len(chunkSubs) != len(searched) {
@@ -132,7 +143,7 @@ func TestSpanTimeline(t *testing.T) {
 		t.Errorf("skew report = %+v, want %d workers", sk, len(workers))
 	}
 
-	// The derived flat aggregate exposes leaf phases, not containers.
+	// The derived flat aggregate exposes the unit phases, not containers.
 	for _, p := range tr.PhaseTimings() {
 		if p.Name == "search" {
 			t.Errorf("container span %q leaked into phase timings", p.Name)

@@ -49,7 +49,7 @@ func searchPerCandidate(t *testing.T, ds *dataset.Dataset, q *query.Query, opt O
 		t.Fatal(err)
 	}
 	heap := topk.New(q.Params.K)
-	s, p := newSearcher(context.Background(), sctx, heap, q, opt), new(prepState)
+	s, p := newSearcher(context.Background(), sctx, heap, q, nil, opt), new(prepState)
 	for i := range part.Subspaces {
 		skip, err := s.prepareInto(p, &part.Subspaces[i])
 		if err == nil && !skip {

@@ -26,7 +26,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"spatialseq/internal/algo/sched"
@@ -63,8 +62,8 @@ type Options struct {
 	// that workers steal from a shared scheduler. <= 1 searches
 	// sequentially; negative uses GOMAXPROCS.
 	Parallelism int
-	// Steal tunes the work-unit scheduler of the parallel path (chunk
-	// sizing of the stolen root-cell ranges). The zero value auto-sizes.
+	// Steal sizes the stolen root-cell chunks of the parallel path (see
+	// sched.Tuning). The zero value auto-sizes.
 	Steal sched.Tuning
 	// Own, when non-nil, restricts the search to the subspaces whose core
 	// rectangle it claims; see hsp.Options.Own. Lemma 1's exactly-once
@@ -83,12 +82,12 @@ type Options struct {
 	// sum across workers and can exceed wall time.
 	Trace *obs.Trace
 	// Span, when live, is the parent span the search nests its
-	// hierarchical timeline under. The sequential path opens one worker
-	// lane with a subspace span per searched subspace; the parallel path
-	// opens one "lora.prep" / "lora.chunk" unit span per stolen work
-	// unit, each tagged with both its worker lane and owning subspace
-	// and carrying that unit's work-counter delta. The zero Span
-	// disables span tracing at no cost.
+	// hierarchical timeline under: one "lora.sample" unit span per
+	// subspace prep and one "lora.enum" unit span per enumerated chunk,
+	// each tagged with both its worker lane and owning subspace and
+	// carrying that unit's work-counter delta. Sequential searches run
+	// every unit on lane 0, one chunk per searched subspace. The zero
+	// Span disables span tracing at no cost.
 	Span span.Span
 }
 
@@ -141,77 +140,25 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 		ssp.End()
 		sp.End()
 	}
-	if workers <= 1 {
-		var heap topk.ResultSink = topk.New(q.Params.K)
-		if opt.Sink != nil {
-			heap = opt.Sink
-		}
-		s := newSearcher(ctx, sctx, heap, q, opt)
-		ws := opt.Span.Worker("lora.worker", 0)
-		for i, ss := range work {
-			sub := ws.Subspace("lora.subspace", i)
-			if err := s.searchSubspace(ss, sub); err != nil {
-				ws.End()
-				return nil, err
-			}
-		}
-		ws.End()
-		h, mi := sctx.MemoCounters()
-		opt.Stats.AddAttrSimMemoHits(h)
-		opt.Stats.AddAttrSimMemoMisses(mi)
-		sp = opt.Trace.Start("topk.merge")
-		msp := opt.Span.Child("topk.merge")
-		res := heap.Results()
-		msp.End()
-		sp.End()
-		return res, nil
-	}
-
-	var sink topk.ResultSink = topk.NewConcurrent(q.Params.K)
-	if opt.Sink != nil {
+	var sink topk.ResultSink
+	switch {
+	case opt.Sink != nil:
 		sink = opt.Sink
+	case workers > 1:
+		sink = topk.NewConcurrent(q.Params.K)
+	default:
+		sink = topk.New(q.Params.K)
 	}
-	run := &stealRun{
-		sch:   sched.New(len(work), workers, opt.Steal),
-		work:  work,
-		preps: make([]*prepState, len(work)),
+	err = sched.Run(len(work), workers, 1, opt.Steal, func() sched.Worker[prepState] {
+		return newSearcher(ctx, sctx, sink, q, work, opt)
+	})
+	if err != nil {
+		return nil, err
 	}
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		callErr error
-	)
-	record := func(err error) {
-		errOnce.Do(func() { callErr = err })
-		run.sch.Abort()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := newSearcher(ctx, sctx, sink, q, opt)
-			for {
-				u, ok := run.sch.Acquire()
-				if !ok {
-					return
-				}
-				var err error
-				if u.Prep {
-					err = s.prepUnit(run, u.Sub, w, opt.Span)
-				} else {
-					err = s.chunkUnit(run, u, w, opt.Span)
-				}
-				if err != nil {
-					record(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if callErr != nil {
-		return nil, callErr
-	}
+	// The lazy memo's counters; a shared memo leaves them at zero.
+	h, mi := sctx.MemoCounters()
+	opt.Stats.AddAttrSimMemoHits(h)
+	opt.Stats.AddAttrSimMemoMisses(mi)
 	sp = opt.Trace.Start("topk.merge")
 	msp := opt.Span.Child("topk.merge")
 	res := sink.Results()
@@ -220,12 +167,13 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	return res, nil
 }
 
-func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, opt Options) *searcher {
+func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, work []*partition.Subspace, opt Options) *searcher {
 	return &searcher{
 		ctx:  ctx,
 		sctx: sctx,
 		heap: sink,
 		q:    q,
+		work: work,
 		opt:  opt,
 		// With a shared (eagerly filled) memo the Context counts nothing;
 		// each worker tallies its own hits in the local batch instead.
@@ -274,8 +222,8 @@ func (s *searcher) localDelta() stats.Snapshot {
 }
 
 // localSnapshot converts the current per-subspace counter batch into
-// the work delta attached to the subspace (or prep) span; searched
-// selects between the searched and skipped subspace count.
+// the work delta attached to the prep span; searched selects between
+// the searched and skipped subspace count.
 func (s *searcher) localSnapshot(searched bool) stats.Snapshot {
 	snap := s.localDelta()
 	snap.SubspaceCandidatesMax = s.local.candidates
@@ -289,11 +237,10 @@ func (s *searcher) localSnapshot(searched bool) stats.Snapshot {
 
 // prepState is one subspace's prepared search state: the grid, the
 // sampled (dimension, cell) buckets and the sorted cell lists with
-// their Eq.-style suffix maxima. On the sequential path each searcher
-// owns one and reuses it across subspaces; on the stealing path prep
-// states are pooled, handed from the preparing worker to chunk workers
-// (read-only during enumeration — grid MinDist/MaxDist are pure), and
-// recycled when the subspace's last chunk finishes.
+// their Eq.-style suffix maxima. sched.Run pools prep states, hands
+// each from the preparing worker to the chunk workers (read-only during
+// enumeration — grid MinDist/MaxDist are pure), and recycles it when
+// the subspace's last chunk finishes.
 type prepState struct {
 	g          *grid.Grid
 	buckets    [][][]simil.Cand // [dim][cell] sampled candidates, sorted desc
@@ -306,6 +253,7 @@ type searcher struct {
 	sctx      *simil.Context
 	heap      topk.Sink
 	q         *query.Query
+	work      []*partition.Subspace
 	opt       Options
 	countHits bool
 	st        *stats.Stats
@@ -316,10 +264,8 @@ type searcher struct {
 	// cellDFS, so the cell- and point-level phases report disjointly.
 	pointDur time.Duration
 
-	// own is the sequential path's reusable prep state; g/buckets/
-	// cellLists/rbarSuffix are views of whichever prep state is attached
-	// for the current enumeration.
-	own        *prepState
+	// g/buckets/cellLists/rbarSuffix are views of the prep state
+	// attached for the current enumeration.
 	g          *grid.Grid
 	buckets    [][][]simil.Cand
 	cellLists  [][]scoredCell
@@ -388,56 +334,21 @@ func (s *searcher) checkCancel() error {
 	return nil
 }
 
-// stealRun is the shared state of one parallel stealing search: the
-// work-unit scheduler, the prepared-subspace handoff slots, and a small
-// recycling pool of prep states (bounded by the worker count, because
-// the scheduler drains queued chunks before starting new preps).
-// preps[i] is written by the preparing worker before Publish and read
-// by chunk workers after Acquire; the scheduler's lock orders the two.
-type stealRun struct {
-	sch   *sched.Scheduler
-	work  []*partition.Subspace
-	preps []*prepState
-
-	mu   sync.Mutex
-	pool []*prepState
-}
-
-func (r *stealRun) take() *prepState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := len(r.pool); n > 0 {
-		p := r.pool[n-1]
-		r.pool = r.pool[:n-1]
-		return p
-	}
-	return new(prepState)
-}
-
-func (r *stealRun) put(p *prepState) {
-	r.mu.Lock()
-	r.pool = append(r.pool, p)
-	r.mu.Unlock()
-}
-
-// prepUnit buckets and samples one subspace — exactly once per
-// subspace — and publishes its root cell list to the scheduler as
-// steal-able chunks. The prep span carries the subspace-level work
+// Prep buckets and samples subspace sub into p — exactly once per
+// subspace — and returns its root cell count, 0 when the subspace is
+// skipped. The "lora.sample" unit span carries the subspace-level work
 // delta (candidate volume, sampling discards, skip marks, memo hits);
-// enumeration counters land on the chunk spans.
-func (s *searcher) prepUnit(run *stealRun, sub, w int, parent span.Span) error {
+// enumeration counters land on Chunk's spans.
+func (s *searcher) Prep(p *prepState, w, sub int) (int, error) {
 	var t0 time.Time
 	if s.tr != nil {
 		t0 = time.Now()
 	}
-	p := run.take()
-	sp := parent.Unit("lora.prep", w, sub)
-	skip, err := s.prepareInto(p, run.work[sub])
+	sp := s.opt.Span.Unit("lora.sample", w, sub)
+	skip, err := s.prepareInto(p, s.work[sub])
 	if err != nil {
 		sp.End()
-		run.sch.Publish(sub, 0)
-		run.put(p)
-		return err
+		return 0, err
 	}
 	if s.tr != nil {
 		s.tr.Add("lora.sample", time.Since(t0))
@@ -446,48 +357,36 @@ func (s *searcher) prepUnit(run *stealRun, sub, w int, parent span.Span) error {
 		s.st.AddSubspacesSkipped(1)
 		sp.EndWork(s.localSnapshot(false))
 		s.flushStats()
-		run.sch.Publish(sub, 0)
-		run.put(p)
-		return nil
+		return 0, nil
 	}
 	s.st.AddSubspaces(1)
 	sp.EndWork(s.localSnapshot(true))
 	s.flushStats()
-	run.preps[sub] = p
-	if run.sch.Publish(sub, len(p.cellLists[0])) == 0 {
-		// Aborted before any chunk was queued: no Done will follow, so
-		// reclaim the prepared state here.
-		run.preps[sub] = nil
-		run.put(p)
-	}
-	return nil
+	return len(p.cellLists[0]), nil
 }
 
-// chunkUnit enumerates one stolen chunk: the root cell range [u.Lo,
-// u.Hi) of an already-prepared subspace. The chunk span carries the
-// enumeration work delta, attributed to the owning subspace, so
-// Tree.Skew keeps measuring per-lane busy time and the straggler
-// attribution keeps naming the heaviest subspace.
-func (s *searcher) chunkUnit(run *stealRun, u sched.Unit, w int, parent span.Span) error {
-	p := run.preps[u.Sub]
+// Chunk enumerates the root cell range [lo, hi) of subspace sub,
+// prepared in p. The "lora.enum" unit span carries the enumeration
+// work delta, attributed to the owning subspace, so Tree.Skew keeps
+// measuring per-lane busy time and the straggler attribution keeps
+// naming the heaviest subspace.
+func (s *searcher) Chunk(p *prepState, w, sub, lo, hi int) error {
 	var t0 time.Time
 	if s.tr != nil {
 		t0 = time.Now()
 	}
-	sp := parent.Unit("lora.chunk", w, u.Sub)
+	sp := s.opt.Span.Unit("lora.enum", w, sub)
 	s.attach(p)
 	s.pointDur = 0
-	err := s.cellDFS(0, 0, u.Lo, u.Hi)
+	err := s.cellDFS(0, 0, lo, hi)
 	if s.tr != nil {
+		// pointEnum time is carved out of the enumeration window so the
+		// cell- and point-level phases stay disjoint.
 		s.tr.Add("lora.points", s.pointDur)
 		s.tr.Add("lora.cells", time.Since(t0)-s.pointDur)
 	}
 	sp.EndWork(s.localDelta())
 	s.flushStats()
-	if run.sch.Done(u.Sub) {
-		run.preps[u.Sub] = nil
-		run.put(p)
-	}
 	return err
 }
 
@@ -589,53 +488,6 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 		p.rbarSuffix[d] = p.rbarSuffix[d+1] + p.cellLists[d][0].score
 	}
 	return false, nil
-}
-
-// searchSubspace buckets, samples, and enumerates one subspace — the
-// sequential path, where prep and enumeration stay on one goroutine.
-// The sub span (a no-op when span tracing is off) is closed on every
-// return path, carrying this subspace's work-counter delta.
-func (s *searcher) searchSubspace(ss *partition.Subspace, sub span.Span) error {
-	var t0 time.Time
-	if s.tr != nil {
-		t0 = time.Now()
-	}
-	smp := sub.Child("lora.sample")
-	if s.own == nil {
-		s.own = new(prepState)
-	}
-	skip, err := s.prepareInto(s.own, ss)
-	if err != nil {
-		smp.End()
-		sub.End()
-		return err
-	}
-	if s.tr != nil {
-		s.tr.Add("lora.sample", time.Since(t0))
-		t0 = time.Now()
-	}
-	smp.End()
-	if skip {
-		s.st.AddSubspacesSkipped(1)
-		sub.EndWork(s.localSnapshot(false))
-		s.flushStats()
-		return nil
-	}
-	s.attach(s.own)
-	s.st.AddSubspaces(1)
-	s.pointDur = 0
-	esp := sub.Child("lora.enum")
-	err = s.cellDFS(0, 0, 0, len(s.cellLists[0]))
-	esp.End()
-	if s.tr != nil {
-		// pointEnum time is carved out of the enumeration window so the
-		// cell- and point-level phases stay disjoint.
-		s.tr.Add("lora.points", s.pointDur)
-		s.tr.Add("lora.cells", time.Since(t0)-s.pointDur)
-	}
-	sub.EndWork(s.localSnapshot(true))
-	s.flushStats()
-	return err
 }
 
 // sampleBucket applies Point-Sample (Algorithm 6): sort descending by

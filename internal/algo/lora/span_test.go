@@ -2,21 +2,25 @@ package lora
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"spatialseq/internal/dataset"
 	"spatialseq/internal/obs/span"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/stats"
 	"spatialseq/internal/testutil"
 )
 
-// TestSpanTimeline verifies LORA's unit-span tree under parallel
-// (stealing) workers: one "lora.prep" span per subspace carrying the
-// subspace-level delta, one "lora.chunk" span per stolen enumeration
-// unit carrying the cell/point enumeration delta, every unit tagged
-// with both its worker lane and owning subspace, and the per-unit
-// deltas summing to the query-wide counters.
+// TestSpanTimeline verifies LORA's unit-span tree, sequential and
+// parallel alike: one "lora.sample" span per subspace carrying the
+// subspace-level delta, one "lora.enum" span per enumerated chunk
+// carrying the cell/point enumeration delta, every unit tagged with both
+// its worker lane and owning subspace, and the per-unit deltas summing
+// to the query-wide counters. A sequential search runs every unit on
+// lane 0, in subspace order, with one chunk per searched subspace.
 func TestSpanTimeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(221))
 	ds := testutil.RandDataset(rng, 300, 3, 4, 100)
@@ -26,11 +30,19 @@ func TestSpanTimeline(t *testing.T) {
 	if err := q.Validate(ds); err != nil {
 		t.Fatal(err)
 	}
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			checkSpanTimeline(t, ds, ix, q, par)
+		})
+	}
+}
+
+func checkSpanTimeline(t *testing.T, ds *dataset.Dataset, ix *partition.Index, q *query.Query, par int) {
 	st := &stats.Stats{}
 	tr := span.NewTracer()
 	root := tr.Root("search")
 	if _, err := Search(context.Background(), ds, ix, q, Options{
-		Parallelism: 4, Stats: st, Span: root,
+		Parallelism: par, Stats: st, Span: root,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -46,17 +58,28 @@ func TestSpanTimeline(t *testing.T) {
 	var prepSpans, chunkSpans int
 	var workSubspaces, workSkipped, workCand, workHits, maxCand int64
 	var workCellTuples, workPops, workTuples, workOffered int64
+	lastSub := int32(-1)
 	for _, n := range tree.Nodes {
 		switch n.Name {
-		case "lora.prep":
-			prepSpans++
+		case "lora.sample", "lora.enum":
 			if n.Subspace < 0 || n.Worker < 0 {
-				t.Errorf("prep span untagged: worker %d subspace %d", n.Worker, n.Subspace)
+				t.Errorf("%s span untagged: worker %d subspace %d", n.Name, n.Worker, n.Subspace)
+			}
+			if n.Work == nil {
+				t.Fatalf("%s span without work delta", n.Name)
 			}
 			workers[n.Worker] = true
-			if n.Work == nil {
-				t.Fatal("prep span without work delta")
+			if par == 1 && n.Subspace < lastSub {
+				t.Errorf("sequential %s span for subspace %d after subspace %d", n.Name, n.Subspace, lastSub)
 			}
+			lastSub = n.Subspace
+		case "search", "lora.partition", "lora.simprep", "topk.merge":
+		default:
+			t.Errorf("unexpected %q span", n.Name)
+		}
+		switch n.Name {
+		case "lora.sample":
+			prepSpans++
 			workSubspaces += n.Work.Subspaces
 			workSkipped += n.Work.SubspacesSkipped
 			workCand += n.Work.Candidates
@@ -67,29 +90,20 @@ func TestSpanTimeline(t *testing.T) {
 			if n.Work.SubspaceCandidatesMax > maxCand {
 				maxCand = n.Work.SubspaceCandidatesMax
 			}
-		case "lora.chunk":
+		case "lora.enum":
 			chunkSpans++
-			if n.Subspace < 0 || n.Worker < 0 {
-				t.Errorf("chunk span untagged: worker %d subspace %d", n.Worker, n.Subspace)
-			}
-			workers[n.Worker] = true
-			if n.Work == nil {
-				t.Fatal("chunk span without work delta")
-			}
 			chunkSubs[n.Subspace] = true
 			workCellTuples += n.Work.CellTuples
 			workPops += n.Work.RankPops
 			workTuples += n.Work.Tuples
 			workOffered += n.Work.Offered
-		case "lora.worker", "lora.subspace":
-			t.Errorf("parallel path recorded legacy %q span", n.Name)
 		}
 	}
 	if prepSpans == 0 {
 		t.Fatal("no prep spans recorded")
 	}
-	if len(workers) == 0 || len(workers) > 4 {
-		t.Errorf("got %d worker lanes, want 1..4", len(workers))
+	if len(workers) == 0 || len(workers) > par || (par == 1 && !workers[0]) {
+		t.Errorf("got worker lanes %v, want 1..%d from 0", workers, par)
 	}
 	snap := st.Snapshot()
 	if workSubspaces+workSkipped != snap.Subspaces+snap.SubspacesSkipped {
@@ -99,13 +113,16 @@ func TestSpanTimeline(t *testing.T) {
 	if workCand != snap.Candidates {
 		t.Errorf("prep candidate deltas sum to %d, counters say %d", workCand, snap.Candidates)
 	}
-	if workHits != snap.AttrSimMemoHits {
+	// A parallel search's shared memo counts hits per unit; a sequential
+	// search's lazy memo counts them in the Context, outside any span.
+	if par > 1 && workHits != snap.AttrSimMemoHits {
 		t.Errorf("prep memo-hit deltas sum to %d, counters say %d", workHits, snap.AttrSimMemoHits)
 	}
 	if snap.SubspaceCandidatesMax != maxCand {
 		t.Errorf("SubspaceCandidatesMax = %d, want the span-tree max %d", snap.SubspaceCandidatesMax, maxCand)
 	}
-	if chunkSpans < len(searched) || len(chunkSubs) != len(searched) {
+	if chunkSpans < len(searched) || len(chunkSubs) != len(searched) ||
+		(par == 1 && chunkSpans != len(searched)) {
 		t.Errorf("%d chunk spans over %d subspaces for %d searched subspaces",
 			chunkSpans, len(chunkSubs), len(searched))
 	}

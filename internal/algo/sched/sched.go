@@ -1,16 +1,23 @@
-// Package sched implements the shared work-unit scheduler behind the
-// intra-subspace work stealing of the parallel HSP and LORA paths.
+// Package sched runs the subspace searches of HSP and LORA: Run is the
+// one driver both algorithms share, and Scheduler is the work-unit queue
+// behind its parallel path.
 //
-// The pre-stealing parallel loops pulled whole subspaces off an atomic
-// counter, which made a Zipf head subspace indivisible: one worker lane
-// dragged ~66% of the candidate work while the others idled (the
-// EXPERIMENTS.md S1 baseline). Here the unit of work is smaller than the
-// subspace: a *(subspace, dim-0 candidate range)* chunk. Workers acquire
-// units in a loop — first a prep unit per subspace (candidate
-// enumeration, run exactly once per subspace so the Lemma-1 discipline
-// holds), then enumeration chunks of the prepared subspace's root-level
-// candidates, sized by candidate count so a fat subspace's DFS root
-// level is shared across every idle worker.
+// Both algorithms search each core's ac-subspace independently under
+// Lemma 1's exactly-once rule, so they share one outer shape: prepare a
+// subspace once, then enumerate its dim-0 roots. An algorithm supplies
+// the two steps as a Worker; Run owns the rest — the prepared-state pool
+// and its handoff between workers, the worker goroutines, and the
+// first-error abort.
+//
+// The unit of parallel work is smaller than the subspace: a *(subspace,
+// dim-0 root range)* chunk. The pre-stealing parallel loops pulled whole
+// subspaces off an atomic counter, which made a Zipf head subspace
+// indivisible: one worker lane dragged ~66% of the candidate work while
+// the others idled (the EXPERIMENTS.md S1 baseline). Workers acquire
+// units in a loop — first a prep unit per subspace (run exactly once per
+// subspace, so the Lemma-1 discipline holds), then enumeration chunks of
+// the prepared subspace's roots, sized by root count so a fat
+// subspace's root level is shared across every idle worker.
 //
 // Exactness is unaffected by steal order: the concurrent top-k's
 // deterministic tie-break is order-independent, and a stale pruning
@@ -23,30 +30,21 @@ package sched
 
 import "sync"
 
-// Default auto-chunking knobs: split each subspace into about
-// Oversubscribe chunks per worker (enough granularity for the tail to
-// steal, few enough that per-chunk overhead stays invisible), but never
-// below MinChunk candidates per chunk.
-const (
-	defaultOversubscribe = 4
-	defaultMinChunk      = 1
-)
+// oversubscribe is the auto-sized chunk count per worker per subspace:
+// enough granularity for the tail to steal, few enough that per-chunk
+// overhead stays invisible.
+const oversubscribe = 4
 
-// Tuning controls how a prepared subspace's root candidate range is
-// split into steal-able chunks. The zero value auto-sizes.
+// Tuning controls how a prepared subspace's root range is split into
+// steal-able chunks. The zero value auto-sizes.
 type Tuning struct {
-	// ChunkSize fixes the chunk length in dim-0 candidates: > 0 uses
-	// exactly that size (1 is the adversarial minimum — every root
-	// candidate its own unit), < 0 disables splitting (one chunk per
-	// subspace, the pre-stealing behavior), 0 auto-sizes from the
-	// worker count.
+	// ChunkSize fixes the chunk length in dim-0 roots: > 0 uses exactly
+	// that size (1 is the adversarial minimum — every root its own
+	// unit), < 0 disables splitting (one chunk per subspace, the
+	// pre-stealing behavior), 0 auto-sizes from the worker count, to
+	// about oversubscribe chunks per worker but never below the
+	// caller's minimum chunk.
 	ChunkSize int
-	// MinChunk floors the auto size so tiny subspaces are not shredded
-	// into per-candidate units; <= 0 takes the caller's default.
-	MinChunk int
-	// Oversubscribe is the target number of auto-sized chunks per
-	// worker per subspace; <= 0 takes the default (4).
-	Oversubscribe int
 }
 
 // Unit is one acquired work item. Prep units ask the worker to prepare
@@ -62,26 +60,29 @@ type Unit struct {
 // Scheduler hands out prep and enumeration units to parallel workers.
 // One Scheduler covers one query execution.
 type Scheduler struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	tun     Tuning
-	workers int
-	numSub  int
-	nextSub int // next subspace needing prep
-	prep    int // prep units handed out but not yet Published
-	queue   []Unit
-	qhead   int
-	pending []int // unacquired+unfinished chunks per subspace
-	aborted bool
+	mu       sync.Mutex
+	cond     sync.Cond
+	tun      Tuning
+	workers  int
+	minChunk int
+	numSub   int
+	nextSub  int // next subspace needing prep
+	prep     int // prep units handed out but not yet Published
+	queue    []Unit
+	qhead    int
+	pending  []int // unacquired+unfinished chunks per subspace
+	aborted  bool
 }
 
 // New returns a scheduler over numSub subspaces for the given worker
-// count (used by auto chunk sizing; must be >= 1).
-func New(numSub, workers int, tun Tuning) *Scheduler {
+// count (used by auto chunk sizing; must be >= 1). minChunk floors the
+// auto-sized chunks so tiny subspaces are not shredded into per-root
+// units; values below 1 mean 1.
+func New(numSub, workers, minChunk int, tun Tuning) *Scheduler {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &Scheduler{tun: tun, workers: workers, numSub: numSub, pending: make([]int, numSub)}
+	s := &Scheduler{tun: tun, workers: workers, minChunk: minChunk, numSub: numSub, pending: make([]int, numSub)}
 	s.cond.L = &s.mu
 	return s
 }
@@ -186,20 +187,6 @@ func (s *Scheduler) chunkFor(n int) int {
 	if c < 0 {
 		return n
 	}
-	over := s.tun.Oversubscribe
-	if over <= 0 {
-		over = defaultOversubscribe
-	}
-	c = (n + over*s.workers - 1) / (over * s.workers)
-	min := s.tun.MinChunk
-	if min <= 0 {
-		min = defaultMinChunk
-	}
-	if c < min {
-		c = min
-	}
-	if c > n {
-		c = n
-	}
-	return c
+	c = (n + oversubscribe*s.workers - 1) / (oversubscribe * s.workers)
+	return min(max(c, s.minChunk, 1), n)
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"errors"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -48,7 +50,7 @@ func coverage(t *testing.T, chunks []Unit, n int) {
 }
 
 func TestFixedChunking(t *testing.T) {
-	s := New(1, 4, Tuning{ChunkSize: 10})
+	s := New(1, 4, 1, Tuning{ChunkSize: 10})
 	chunks := drain(t, s, []int{25})
 	if len(chunks[0]) != 3 {
 		t.Fatalf("got %d chunks, want 3", len(chunks[0]))
@@ -63,7 +65,7 @@ func TestFixedChunking(t *testing.T) {
 }
 
 func TestWholeSubspaceChunking(t *testing.T) {
-	s := New(2, 4, Tuning{ChunkSize: -1})
+	s := New(2, 4, 1, Tuning{ChunkSize: -1})
 	chunks := drain(t, s, []int{100, 7})
 	for sub, n := range []int{100, 7} {
 		if len(chunks[sub]) != 1 {
@@ -76,24 +78,24 @@ func TestWholeSubspaceChunking(t *testing.T) {
 func TestAutoChunking(t *testing.T) {
 	// 4 workers x oversubscribe 4 = 16 target chunks; 1000 candidates
 	// gives ceil(1000/16) = 63 per chunk, 16 chunks.
-	s := New(1, 4, Tuning{})
+	s := New(1, 4, 1, Tuning{})
 	chunks := drain(t, s, []int{1000})
 	if len(chunks[0]) != 16 {
 		t.Errorf("got %d auto chunks, want 16", len(chunks[0]))
 	}
 	coverage(t, chunks[0], 1000)
 
-	// MinChunk floors the auto size: 20 candidates over 16 targets would
-	// be 2-wide, but MinChunk 8 forces ceil(20/8) = 3 chunks.
-	s = New(1, 4, Tuning{MinChunk: 8})
+	// minChunk floors the auto size: 20 candidates over 16 targets would
+	// be 2-wide, but minChunk 8 forces ceil(20/8) = 3 chunks.
+	s = New(1, 4, 8, Tuning{})
 	chunks = drain(t, s, []int{20})
 	if len(chunks[0]) != 3 {
 		t.Errorf("got %d floored chunks, want 3", len(chunks[0]))
 	}
 	coverage(t, chunks[0], 20)
 
-	// A subspace smaller than MinChunk is one chunk.
-	s = New(1, 4, Tuning{MinChunk: 64})
+	// A subspace smaller than minChunk is one chunk.
+	s = New(1, 4, 64, Tuning{})
 	chunks = drain(t, s, []int{5})
 	if len(chunks[0]) != 1 {
 		t.Errorf("got %d chunks for a tiny subspace, want 1", len(chunks[0]))
@@ -102,7 +104,7 @@ func TestAutoChunking(t *testing.T) {
 }
 
 func TestSkippedSubspace(t *testing.T) {
-	s := New(3, 2, Tuning{ChunkSize: 4})
+	s := New(3, 2, 1, Tuning{ChunkSize: 4})
 	chunks := drain(t, s, []int{6, 0, 3})
 	if len(chunks[1]) != 0 {
 		t.Errorf("skipped subspace produced %d chunks", len(chunks[1]))
@@ -112,7 +114,7 @@ func TestSkippedSubspace(t *testing.T) {
 }
 
 func TestAbortUnblocksWaiters(t *testing.T) {
-	s := New(1, 2, Tuning{})
+	s := New(1, 2, 1, Tuning{})
 	u, ok := s.Acquire()
 	if !ok || !u.Prep {
 		t.Fatalf("first acquire = %+v, %v; want a prep unit", u, ok)
@@ -136,6 +138,23 @@ func TestAbortUnblocksWaiters(t *testing.T) {
 	}
 }
 
+// skewedSizes returns deterministic, skewed root counts for n
+// subspaces: one fat head, some empties.
+func skewedSizes(n int) []int {
+	sizes := make([]int, n)
+	for i := range sizes {
+		switch {
+		case i == 0:
+			sizes[i] = 4000
+		case i%7 == 3:
+			sizes[i] = 0
+		default:
+			sizes[i] = 13 + 31*(i%11)
+		}
+	}
+	return sizes
+}
+
 // TestStress hammers the scheduler with many workers under -race:
 // every candidate of every subspace must be covered exactly once, every
 // subspace prepped exactly once, and Done must report last-chunk
@@ -146,18 +165,7 @@ func TestStress(t *testing.T) {
 		workers = 8
 	)
 	for _, tun := range []Tuning{{}, {ChunkSize: 1}, {ChunkSize: 7}, {ChunkSize: -1}} {
-		// Deterministic, skewed sizes: one fat head, some empties.
-		sizes := make([]int, numSub)
-		for i := range sizes {
-			switch {
-			case i == 0:
-				sizes[i] = 4000
-			case i%7 == 3:
-				sizes[i] = 0
-			default:
-				sizes[i] = 13 + 31*(i%11)
-			}
-		}
+		sizes := skewedSizes(numSub)
 		var mu sync.Mutex
 		prepped := make([]int, numSub)
 		last := make([]int, numSub)
@@ -166,7 +174,7 @@ func TestStress(t *testing.T) {
 			covered[i] = make([]bool, n)
 		}
 
-		s := New(numSub, workers, tun)
+		s := New(numSub, workers, 1, tun)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -233,7 +241,7 @@ func TestStressAbort(t *testing.T) {
 	for i := range sizes {
 		sizes[i] = 50 + i
 	}
-	s := New(numSub, workers, Tuning{ChunkSize: 5})
+	s := New(numSub, workers, 1, Tuning{ChunkSize: 5})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -260,5 +268,117 @@ func TestStressAbort(t *testing.T) {
 	wg.Wait()
 	if _, ok := s.Acquire(); ok {
 		t.Error("Acquire after aborted drain returned ok=true")
+	}
+}
+
+// fakeState is the prepared state of one subspace in TestRun: the
+// subspace it was prepared for, so Chunk can check the handoff.
+type fakeState struct{ sub int }
+
+// fakeRun is every worker of one TestRun run: it records what Run asks
+// of it and fails the Prep or Chunk of one chosen subspace.
+type fakeRun struct {
+	t                   *testing.T
+	sizes               []int
+	failPrep, failChunk int // subspace whose call fails; -1 for none
+
+	mu      sync.Mutex
+	prepped []int
+	covered [][]int
+	chunks  []Unit // in call order
+}
+
+var errPrep, errChunk = errors.New("prep failed"), errors.New("chunk failed")
+
+func newFakeRun(t *testing.T, sizes []int, failPrep, failChunk int) *fakeRun {
+	f := &fakeRun{t: t, sizes: sizes, failPrep: failPrep, failChunk: failChunk,
+		prepped: make([]int, len(sizes)), covered: make([][]int, len(sizes))}
+	for i, n := range sizes {
+		f.covered[i] = make([]int, n)
+	}
+	return f
+}
+
+func (f *fakeRun) Prep(p *fakeState, w, sub int) (int, error) {
+	p.sub = sub // Run must order this write before every Chunk of sub
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.prepped[sub]++
+	if sub == f.failPrep {
+		return 0, errPrep
+	}
+	return f.sizes[sub], nil
+}
+
+func (f *fakeRun) Chunk(p *fakeState, w, sub, lo, hi int) error {
+	if p.sub != sub {
+		f.t.Errorf("chunk of subspace %d got the state prepared for %d", sub, p.sub)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i := lo; i < hi; i++ {
+		f.covered[sub][i]++
+	}
+	f.chunks = append(f.chunks, Unit{Sub: sub, Lo: lo, Hi: hi})
+	if sub == f.failChunk {
+		return errChunk
+	}
+	return nil
+}
+
+func (f *fakeRun) run(workers int, tun Tuning) error {
+	return Run(len(f.sizes), workers, 1, tun, func() Worker[fakeState] { return f })
+}
+
+// TestRun drives Run over skewed subspace sizes (under -race): every
+// subspace is prepared once and its roots tiled exactly once, handed
+// the state prepared for it; one worker enumerates each non-empty
+// subspace as one chunk [0, n), in subspace order; and the first error
+// of a Prep or a Chunk is returned once every worker has exited.
+func TestRun(t *testing.T) {
+	sizes := skewedSizes(50)
+	for _, workers := range []int{1, 8} {
+		for _, tun := range []Tuning{{}, {ChunkSize: 1}, {ChunkSize: -1}} {
+			f := newFakeRun(t, sizes, -1, -1)
+			if err := f.run(workers, tun); err != nil {
+				t.Fatalf("workers %d %+v: %v", workers, tun, err)
+			}
+			for sub, n := range sizes {
+				if f.prepped[sub] != 1 {
+					t.Errorf("workers %d %+v: subspace %d prepared %d times", workers, tun, sub, f.prepped[sub])
+				}
+				for i := 0; i < n; i++ {
+					if f.covered[sub][i] != 1 {
+						t.Errorf("workers %d %+v: subspace %d root %d covered %d times", workers, tun, sub, i, f.covered[sub][i])
+					}
+				}
+			}
+			if workers > 1 {
+				continue
+			}
+			var want []Unit
+			for sub, n := range sizes {
+				if n > 0 {
+					want = append(want, Unit{Sub: sub, Lo: 0, Hi: n})
+				}
+			}
+			if !slices.Equal(f.chunks, want) {
+				t.Errorf("%+v: one worker ran chunks %v, want %v", tun, f.chunks, want)
+			}
+		}
+
+		// Subspace 10 is empty, so it fails only in Prep.
+		for _, fail := range []struct {
+			prep, chunk int
+			want        error
+		}{{10, -1, errPrep}, {-1, 0, errChunk}, {-1, 12, errChunk}} {
+			f := newFakeRun(t, sizes, fail.prep, fail.chunk)
+			if err := f.run(workers, Tuning{ChunkSize: 1}); !errors.Is(err, fail.want) {
+				t.Errorf("workers %d, failing prep %d chunk %d: err %v, want %v", workers, fail.prep, fail.chunk, err, fail.want)
+			}
+			if last := max(fail.prep, fail.chunk); workers == 1 && f.prepped[last+1] != 0 {
+				t.Errorf("one worker prepared subspace %d after subspace %d failed", last+1, last)
+			}
+		}
 	}
 }

@@ -222,7 +222,8 @@ func (e *Engine) Search(ctx context.Context, q *query.Query, algo Algorithm, opt
 		Phases:    opt.Trace.Snapshot(),
 	}
 	// Span-derived phase timings supersede the flat trace: same names,
-	// but parallel overlap is marked instead of silently summed.
+	// but parallel overlap is marked instead of silently summed. A tree
+	// truncated by its bounds yields none and the flat trace stands.
 	if p := opt.Spans.PhaseTimings(); p != nil {
 		rec.Phases = p
 	}

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"spatialseq/internal/geo"
 	"spatialseq/internal/obs"
 	"spatialseq/internal/obs/flight"
+	"spatialseq/internal/obs/span"
 	"spatialseq/internal/query"
 	"spatialseq/internal/testutil"
 )
@@ -62,6 +64,26 @@ func TestSearchEmitsFlightRecord(t *testing.T) {
 	}
 	if r.Capture.Algorithm != "hsp" || len(r.Capture.Dims) != q.Example.M() {
 		t.Errorf("capture = %+v", r.Capture)
+	}
+}
+
+// TestTruncatedSpansKeepFlatPhases: a span tree that hit its node bound
+// lost the dropped spans' time, so the flight record carries the flat
+// trace's phases, not the tree's.
+func TestTruncatedSpansKeepFlatPhases(t *testing.T) {
+	eng, q := setup(t, 150)
+	rec := retainAll()
+	eng.SetFlightRecorder(rec)
+	tr, spans := obs.NewTrace(), span.NewTracerLimits(8, 0)
+	if _, err := eng.Search(context.Background(), q, HSP, Options{Trace: tr, Spans: spans}); err != nil {
+		t.Fatal(err)
+	}
+	if spans.Dropped() == 0 {
+		t.Fatal("the search fit in 8 spans; want a truncated tree")
+	}
+	got, want := rec.Recent(1)[0].Phases, tr.Snapshot()
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("record phases %+v, want the flat trace's %+v", got, want)
 	}
 }
 

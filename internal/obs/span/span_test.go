@@ -170,6 +170,11 @@ func TestTreeBounds(t *testing.T) {
 	if len(tree.Nodes) != 3 || tree.Dropped != 3 {
 		t.Errorf("snapshot has %d nodes, dropped %d; want 3 and 3", len(tree.Nodes), tree.Dropped)
 	}
+	// The dropped spans' time is missing from the tree, so it yields no
+	// phases and callers fall back to the flat trace.
+	if p := tr.PhaseTimings(); p != nil {
+		t.Errorf("truncated tree derived phases %+v, want nil", p)
+	}
 }
 
 func TestSnapshotClampsOpenSpans(t *testing.T) {

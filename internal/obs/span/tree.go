@@ -81,14 +81,16 @@ func (t *Tracer) Snapshot() *Tree {
 // documented obs.Trace caveat — when same-named leaves overlap in time
 // (parallel workers), the phase is marked Parallel instead of letting
 // the sum silently exceed the query's wall time. Returns nil when no
-// spans were recorded, so callers can fall back to a flat obs.Trace.
+// spans were recorded, or when the tree bounds dropped any (their time
+// would be missing from the sums), so callers can fall back to a flat
+// obs.Trace.
 func (t *Tracer) PhaseTimings() []obs.PhaseTiming {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.nodes) == 0 {
+	if len(t.nodes) == 0 || t.dropped > 0 {
 		return nil
 	}
 	now := int64(time.Since(t.epoch))

@@ -519,7 +519,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		phases := opt.Trace.Snapshot()
 		// Span-derived timings supersede the flat trace: same phase
 		// names, with cross-worker overlap marked parallel instead of
-		// silently summed past wall time.
+		// silently summed past wall time. A tree truncated by its
+		// bounds yields none and the flat trace stands.
 		if p := opt.Spans.PhaseTimings(); p != nil {
 			phases = p
 		}

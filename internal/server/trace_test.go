@@ -63,7 +63,7 @@ func TestDebugTraceChromeJSON(t *testing.T) {
 			names[ev.Name] = true
 		}
 	}
-	for _, want := range []string{"search", "hsp.worker", "hsp.subspace"} {
+	for _, want := range []string{"search", "hsp.candidates", "hsp.dfs"} {
 		if !names[want] {
 			t.Errorf("trace has no %q span (got %v)", want, names)
 		}
@@ -84,7 +84,7 @@ func TestDebugTraceHTMLTimeline(t *testing.T) {
 		t.Errorf("Content-Type = %q", ct)
 	}
 	page := string(body)
-	for _, want := range []string{"trace " + id, "hsp.subspace", "timeline", "class=bar"} {
+	for _, want := range []string{"trace " + id, "hsp.dfs", "timeline", "class=bar"} {
 		if !strings.Contains(page, want) {
 			t.Errorf("timeline page missing %q", want)
 		}
