@@ -168,6 +168,20 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 }
 
 func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, work []*partition.Subspace, opt Options) *searcher {
+	var groups []gatherGroup
+	dimGroup := make([]int, sctx.M)
+	for d := 1; d < sctx.M; d++ {
+		if q.Example.FixedDim(d) >= 0 {
+			continue
+		}
+		cat := q.Example.Categories[d]
+		gi := slices.IndexFunc(groups, func(g gatherGroup) bool { return g.cat == cat })
+		if gi < 0 {
+			gi = len(groups)
+			groups = append(groups, gatherGroup{cat: cat})
+		}
+		dimGroup[d] = gi
+	}
 	return &searcher{
 		ctx:  ctx,
 		sctx: sctx,
@@ -183,6 +197,8 @@ func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *qu
 		tuple:     make([]int32, sctx.M),
 		asims:     make([]float64, sctx.M),
 		dist:      make([]float64, 0, sctx.Pairs),
+		groups:    groups,
+		dimGroup:  dimGroup,
 	}
 }
 
@@ -243,7 +259,7 @@ func (s *searcher) localSnapshot(searched bool) stats.Snapshot {
 // the subspace's last chunk finishes.
 type prepState struct {
 	g          *grid.Grid
-	buckets    [][][]simil.Cand // [dim][cell] sampled candidates, sorted desc
+	buckets    [][][]simil.Cand // [dim][cell] candidates, maximum first; sampled and sorted desc where reachable
 	cellLists  [][]scoredCell   // [dim] non-empty cells sorted by score desc
 	rbarSuffix []float64
 }
@@ -271,10 +287,13 @@ type searcher struct {
 	cellLists  [][]scoredCell
 	rbarSuffix []float64
 
-	// batch scoring scratch for bucketing (category-filtered positions
-	// and their blocked attribute sims)
-	posBuf []int32
-	simBuf []float64
+	// bucketing scratch: dimension 0's category-filtered core points, the
+	// gather groups of the free dimensions >= 1 (dimGroup[d] indexes
+	// dimension d's), and the blocked attribute sims
+	posBuf   []int32
+	groups   []gatherGroup
+	dimGroup []int
+	simBuf   []float64
 
 	// enumeration scratch (per-searcher, reused across cell tuples)
 	cellTuple  []int
@@ -300,6 +319,13 @@ func (s *searcher) attach(p *prepState) {
 		s.cellTuple = make([]int, m)
 		s.simScratch = make([][]float64, m)
 	}
+}
+
+// gatherGroup holds one subspace's ac points of one example category,
+// shared by every free dimension >= 1 of that category.
+type gatherGroup struct {
+	cat dataset.CategoryID
+	pos []int32
 }
 
 type scoredCell struct {
@@ -391,11 +417,11 @@ func (s *searcher) Chunk(p *prepState, w, sub, lo, hi int) error {
 }
 
 // prepareInto buckets candidates per (dimension, cell), Point-Samples
-// each bucket, and builds the sorted cell lists and suffix maxima into
-// p. It reports skip=true when a pinned object falls outside the
-// subspace or some dimension has no candidate cell. Candidate and
-// sampling counters accumulate into s.local; the caller attaches and
-// flushes them.
+// the buckets the cell DFS can reach, and builds the sorted cell lists
+// and suffix maxima into p. It reports skip=true when a pinned object
+// falls outside the subspace or some dimension has no candidate cell;
+// dimensions past that one are not scored. Candidate and sampling
+// counters accumulate into s.local; the caller attaches and flushes them.
 func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool, err error) {
 	c := s.sctx
 	m := c.M
@@ -420,6 +446,8 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 		p.cellLists[d] = p.cellLists[d][:0]
 	}
 
+	xi := s.q.Params.Xi
+	gathered := false
 	for d := 0; d < m; d++ {
 		if fixed := s.q.Example.FixedDim(d); fixed >= 0 {
 			loc := c.DS.Loc(int(fixed))
@@ -438,21 +466,27 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: p.buckets[d][cell][0].Sim})
 			continue
 		}
-		source := ss.ACPoints
+		var pos []int32
 		if d == 0 {
-			source = ss.CorePoints
-		}
-		// Blocked batch scoring: gather the category survivors, score
-		// them with one AttrSimBatch sweep, then bucket by cell. Same
-		// candidate order, sims and counters as the scalar loop.
-		cat := c.Ex.Categories[d]
-		pos := s.posBuf[:0]
-		for _, ps := range source {
-			if c.DS.Category(int(ps)) == cat {
-				pos = append(pos, ps)
+			pos = s.posBuf[:0]
+			cat := c.Ex.Categories[0]
+			for _, ps := range ss.CorePoints {
+				if c.DS.Category(int(ps)) == cat {
+					pos = append(pos, ps)
+				}
 			}
+			s.posBuf = pos
+		} else {
+			if !gathered {
+				s.gatherAC(ss.ACPoints)
+				gathered = true
+			}
+			pos = s.groups[s.dimGroup[d]].pos
 		}
-		s.posBuf = pos
+		// Blocked batch scoring: score the category survivors with one
+		// AttrSimBatch sweep, then bucket by cell, each bucket's maximum
+		// first. Same candidate order, sims and counters as the scalar
+		// loop.
 		s.local.candidates += int64(len(pos))
 		if s.countHits {
 			s.local.memoHits += int64(len(pos))
@@ -462,19 +496,29 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 		}
 		sims := s.simBuf[:len(pos)]
 		c.AttrSimBatch(d, pos, sims)
+		buckets := p.buckets[d]
 		for i, ps := range pos {
 			cell := g.Cell(c.DS.Loc(int(ps)))
-			p.buckets[d][cell] = append(p.buckets[d][cell], simil.Cand{Pos: ps, Sim: sims[i]})
+			cd := simil.Cand{Pos: ps, Sim: sims[i]}
+			b := append(buckets[cell], cd)
+			if !s.opt.RandomSample && candBefore(cd, b[0]) {
+				b[0], b[len(b)-1] = cd, b[0]
+			}
+			buckets[cell] = b
 		}
 		for cell := 0; cell < nc; cell++ {
-			b := p.buckets[d][cell]
+			b := buckets[cell]
 			if len(b) == 0 {
 				continue
 			}
-			before := len(b)
-			p.buckets[d][cell] = s.sampleBucket(b, d, cell)
-			s.local.sampledOut += int64(before - len(p.buckets[d][cell]))
-			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: p.buckets[d][cell][0].Sim})
+			if xi > 0 && len(b) > xi {
+				s.local.sampledOut += int64(len(b) - xi)
+			}
+			if s.opt.RandomSample {
+				b = s.sampleRandom(b, d, cell)
+				buckets[cell] = b
+			}
+			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: b[0].Sim})
 		}
 		if len(p.cellLists[d]) == 0 {
 			return true, nil // no candidates for this dimension here
@@ -487,16 +531,99 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 	for d := m - 1; d >= 0; d-- {
 		p.rbarSuffix[d] = p.rbarSuffix[d+1] + p.cellLists[d][0].score
 	}
+	if !s.opt.RandomSample {
+		s.sampleReachable(p)
+	}
 	return false, nil
 }
 
-// sampleBucket applies Point-Sample (Algorithm 6): sort descending by
-// attribute similarity and keep the first xi. With RandomSample the kept
-// set is a seeded random subset instead (the Fig. 4 strawman), re-sorted
-// descending so downstream ordering invariants hold.
-func (s *searcher) sampleBucket(b []simil.Cand, dim, cell int) []simil.Cand {
+// gatherAC makes one pass over a subspace's ac points, reads each
+// point's category once, and appends the point to the gather group of
+// that category: the candidates of every free dimension >= 1 whose
+// example category it is, in ACPoints order.
+func (s *searcher) gatherAC(points []int32) {
+	groups := s.groups
+	for i := range groups {
+		groups[i].pos = groups[i].pos[:0]
+	}
+	ds := s.sctx.DS
+	for _, ps := range points {
+		cat := ds.Category(int(ps))
+		for i := range groups {
+			if groups[i].cat == cat {
+				groups[i].pos = append(groups[i].pos, ps)
+				break
+			}
+		}
+	}
+}
+
+// sampleReachable applies Point-Sample (Algorithm 6) to the buckets the
+// cell DFS can reach: each keeps its top xi, sorted. A cell is reachable
+// when Algorithm 4's bound on it, taken at the float sum of the earlier
+// dimensions' list heads (added in cellDFS's order), passes the
+// threshold the sink holds now. The bound never rises as the cell's
+// score or the prefix sum falls, float addition preserves order, and
+// the threshold never falls, so cellDFS cuts each level at or before
+// its first unreachable cell and pointEnum never reads such a bucket.
+// It stays as bucketed, its maximum first; prepareInto has already
+// counted what sampling drops from it.
+func (s *searcher) sampleReachable(p *prepState) {
+	c := s.sctx
+	var prefix float64
+	for d := 0; d < c.M; d++ {
+		for _, sc := range p.cellLists[d] {
+			if !s.heap.WouldAccept(c.Combine(1, (prefix+sc.score+p.rbarSuffix[d+1])/float64(c.M))) {
+				break // the list is sorted by score: every later cell fails too
+			}
+			p.buckets[d][sc.cell] = selectTop(p.buckets[d][sc.cell], s.q.Params.Xi)
+		}
+		prefix += p.cellLists[d][0].score
+	}
+}
+
+// selectTop returns b's first xi candidates under SortCandidates' order,
+// sorted, in b's storage: it sorts xi of them and then inserts each
+// later candidate that beats the last one kept. xi <= 0 keeps all.
+func selectTop(b []simil.Cand, xi int) []simil.Cand {
+	if xi <= 0 || len(b) <= xi {
+		simil.SortCandidates(b)
+		return b
+	}
+	head := b[:xi]
+	simil.SortCandidates(head)
+	for _, cd := range b[xi:] {
+		if !candBefore(cd, head[xi-1]) {
+			continue
+		}
+		i := xi - 1
+		for ; i > 0 && candBefore(cd, head[i-1]); i-- {
+			head[i] = head[i-1]
+		}
+		head[i] = cd
+	}
+	return head
+}
+
+// candBefore reports whether a precedes b in SortCandidates' order:
+// similarity descending, position ascending.
+func candBefore(a, b simil.Cand) bool {
+	switch {
+	case a.Sim > b.Sim:
+		return true
+	case a.Sim < b.Sim:
+		return false
+	}
+	return a.Pos < b.Pos
+}
+
+// sampleRandom is Point-Sample's RandomSample ablation (the Fig. 4
+// strawman): a bucket larger than xi keeps a seeded random subset of xi
+// in place of its top xi. The kept set is sorted descending so
+// downstream ordering invariants hold.
+func (s *searcher) sampleRandom(b []simil.Cand, dim, cell int) []simil.Cand {
 	xi := s.q.Params.Xi
-	if s.opt.RandomSample && xi > 0 && len(b) > xi {
+	if xi > 0 && len(b) > xi {
 		rng := newSplitMix(uint64(s.opt.RandomSeed) ^ uint64(dim)<<32 ^ uint64(cell))
 		for i := len(b) - 1; i > 0; i-- {
 			j := int(rng.next() % uint64(i+1))
@@ -505,9 +632,6 @@ func (s *searcher) sampleBucket(b []simil.Cand, dim, cell int) []simil.Cand {
 		b = b[:xi]
 	}
 	simil.SortCandidates(b)
-	if xi > 0 && len(b) > xi {
-		b = b[:xi]
-	}
 	return b
 }
 

@@ -105,25 +105,29 @@ func (ix *Index) Partition(radius float64) (*Partition, error) {
 	for i := range positions {
 		positions[i] = int32(i)
 	}
-	ix.split(positions, bounds, 0, radius, p)
+	var scratch []int32
+	ix.split(positions, bounds, 0, radius, p, &scratch)
 	return p, nil
 }
 
 // split recursively divides rect, alternating the split axis per level,
 // collecting non-empty leaves whose diagonal is below the radius.
 // positions must hold exactly the points inside rect and is reordered in
-// place so each half receives a contiguous sub-slice.
-func (ix *Index) split(positions []int32, rect geo.Rect, level int, radius float64, p *Partition) {
+// place so each half receives a contiguous sub-slice. Each leaf's ac
+// points are searched into *scratch, which the whole build reuses, and
+// copied out at exact length.
+func (ix *Index) split(positions []int32, rect geo.Rect, level int, radius float64, p *Partition, scratch *[]int32) {
 	if len(positions) == 0 {
 		return
 	}
 	if rect.Diagonal() < radius || degenerate(rect) {
 		ac := rect.Inflate(radius).Intersect(p.Bounds)
+		*scratch = ix.tree.Search(ac, (*scratch)[:0])
 		p.Subspaces = append(p.Subspaces, Subspace{
 			Core:       rect,
 			AC:         ac,
 			CorePoints: positions,
-			ACPoints:   ix.tree.Search(ac, nil),
+			ACPoints:   append(make([]int32, 0, len(*scratch)), *scratch...),
 		})
 		return
 	}
@@ -150,8 +154,8 @@ func (ix *Index) split(positions []int32, rect geo.Rect, level int, radius float
 			positions[lo], positions[hi] = positions[hi], positions[lo]
 		}
 	}
-	ix.split(positions[:lo], left, level+1, radius, p)
-	ix.split(positions[lo:], right, level+1, radius, p)
+	ix.split(positions[:lo], left, level+1, radius, p, scratch)
+	ix.split(positions[lo:], right, level+1, radius, p, scratch)
 }
 
 // degenerate guards against rectangles too small to split further (all

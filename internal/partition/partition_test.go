@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialseq/internal/geo"
@@ -163,6 +164,30 @@ func TestACWithinBounds(t *testing.T) {
 		}
 		if !ss.AC.ContainsRect(ss.Core) {
 			t.Errorf("ac %v does not contain core %v", ss.AC, ss.Core)
+		}
+	}
+}
+
+// TestACPointsExactAndOwned: every subspace's ACPoints is the R-tree's
+// search of its ac rectangle, element for element, in a slice of its
+// own sized exactly, although one buffer serves every search of a build.
+func TestACPointsExactAndOwned(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	ix := NewIndex(randPoints(rng, 1500, 100))
+	for _, radius := range []float64{3, 8, 20, 60} {
+		p, err := ix.Partition(radius)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ss := range p.Subspaces {
+			want := ix.Tree().Search(ss.AC, nil)
+			if !slices.Equal(ss.ACPoints, want) || cap(ss.ACPoints) != len(ss.ACPoints) {
+				t.Fatalf("radius %g subspace %d: ACPoints len %d cap %d, search has %d points or differs",
+					radius, i, len(ss.ACPoints), cap(ss.ACPoints), len(want))
+			}
+			if i > 0 && &ss.ACPoints[0] == &p.Subspaces[i-1].ACPoints[0] {
+				t.Fatalf("radius %g: subspaces %d and %d share ACPoints storage", radius, i-1, i)
+			}
 		}
 	}
 }

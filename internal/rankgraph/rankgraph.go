@@ -15,12 +15,17 @@
 //
 // The enumerator sits on LORA's innermost hot path (one instance per cell
 // tuple), so it is engineered to amortise allocations: visited-set keys
-// are mixed-radix integers (falling back to strings only for astronomically
-// large product spaces), rank-vector storage is recycled through a
-// freelist, and Reset reuses all internal state for the next cell tuple.
+// are mixed-radix integers in a generation-stamped open-addressing table
+// (falling back to strings only for astronomically large product spaces),
+// rank-vector storage is recycled through a freelist, and Reset reuses
+// all internal state for the next cell tuple, emptying the visited set
+// in O(1).
 package rankgraph
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Enumerator yields index combinations over m descending score lists in
 // non-increasing total-score order.
@@ -33,7 +38,7 @@ type Enumerator struct {
 	// visited set: mixed-radix integer keys when the product space fits
 	// in uint64, string keys otherwise.
 	strides []uint64
-	seen    map[uint64]struct{}
+	seen    keySet
 	seenStr map[string]struct{}
 
 	closed bool
@@ -42,6 +47,7 @@ type Enumerator struct {
 type node struct {
 	ranks []int32
 	total float64
+	key   uint64 // mixed-radix key of ranks; unused on the string path
 }
 
 // New returns an enumerator over the given descending score lists. Any
@@ -66,9 +72,7 @@ func (e *Enumerator) Reset(lists [][]float64) {
 	}
 	e.pq = e.pq[:0]
 	e.closed = false
-	if e.seen != nil {
-		clear(e.seen)
-	}
+	e.seen.reset()
 	if e.seenStr != nil {
 		clear(e.seenStr)
 	}
@@ -105,10 +109,6 @@ func (e *Enumerator) Reset(lists [][]float64) {
 		stride = next
 	}
 	if intKeys {
-		if e.seen == nil {
-			//lint:ignore hotpathalloc visited set is created once per enumerator and cleared on Reset
-			e.seen = make(map[uint64]struct{})
-		}
 		e.seenStr = nil
 	} else {
 		if e.seenStr == nil {
@@ -126,7 +126,8 @@ func (e *Enumerator) Reset(lists [][]float64) {
 	for _, l := range lists {
 		total += l[0]
 	}
-	e.push(root, total)
+	//lint:ignore hotpathalloc root push, once per Reset; pq storage is reused
+	e.pq = append(e.pq, node{ranks: root, total: total})
 	if cap(e.ranks) < len(lists) {
 		//lint:ignore hotpathalloc grow-once scratch; reused across Resets
 		e.ranks = make([]int32, len(lists))
@@ -149,7 +150,13 @@ func (e *Enumerator) Next() (ranks []int32, total float64, ok bool) {
 		if int(r) >= len(e.lists[d]) {
 			continue
 		}
-		if e.markVisitedChild(n.ranks, d, r) {
+		var key uint64
+		if e.seenStr == nil {
+			key = n.key + e.strides[d]
+			if e.seen.insert(key) {
+				continue
+			}
+		} else if e.markVisitedStr(n.ranks, d, r) {
 			continue
 		}
 		child := e.newRanks(len(n.ranks))
@@ -157,7 +164,7 @@ func (e *Enumerator) Next() (ranks []int32, total float64, ok bool) {
 		child[d] = r
 		childTotal := n.total - e.lists[d][r-1] + e.lists[d][r]
 		//lint:ignore hotpathalloc frontier append; pq storage is reused across Resets, growth amortises out
-		e.pq = append(e.pq, node{ranks: child, total: childTotal})
+		e.pq = append(e.pq, node{ranks: child, total: childTotal, key: key})
 		e.up(len(e.pq) - 1)
 	}
 	//lint:ignore hotpathalloc freelist recycle; bounded by the frontier and reused across Resets
@@ -165,21 +172,10 @@ func (e *Enumerator) Next() (ranks []int32, total float64, ok bool) {
 	return e.ranks, n.total, true
 }
 
-// markVisitedChild records the child of ranks with dimension d bumped to r
-// in the visited set; it reports whether the child was already present.
-func (e *Enumerator) markVisitedChild(ranks []int32, d int, r int32) bool {
-	if e.seenStr == nil {
-		var key uint64
-		for i, v := range ranks {
-			key += uint64(v) * e.strides[i]
-		}
-		key += uint64(r-ranks[d]) * e.strides[d]
-		if _, dup := e.seen[key]; dup {
-			return true
-		}
-		e.seen[key] = struct{}{}
-		return false
-	}
+// markVisitedStr records the child of ranks with dimension d bumped to r
+// in the string-keyed visited set; it reports whether the child was
+// already present.
+func (e *Enumerator) markVisitedStr(ranks []int32, d int, r int32) bool {
 	//lint:ignore hotpathalloc string-key fallback; only for product spaces overflowing uint64 mixed-radix keys
 	buf := make([]byte, 0, 4*len(ranks))
 	for i, v := range ranks {
@@ -196,13 +192,6 @@ func (e *Enumerator) markVisitedChild(ranks []int32, d int, r int32) bool {
 	}
 	e.seenStr[key] = struct{}{}
 	return false
-}
-
-// push inserts a node (used only for the root, which is never a duplicate).
-func (e *Enumerator) push(ranks []int32, total float64) {
-	//lint:ignore hotpathalloc root push, once per Reset; pq storage is reused
-	e.pq = append(e.pq, node{ranks: ranks, total: total})
-	e.up(len(e.pq) - 1)
 }
 
 func (e *Enumerator) newRanks(m int) []int32 {
@@ -257,6 +246,67 @@ func (e *Enumerator) down(i int) {
 		}
 		e.pq[i], e.pq[largest] = e.pq[largest], e.pq[i]
 		i = largest
+	}
+}
+
+// keySet is an open-addressing set of mixed-radix keys with linear
+// probing. Each slot carries the generation that wrote it, and only
+// slots of the current generation are members, so reset is a counter
+// bump; the stamps are cleared only when the counter wraps. The table
+// grows with the peak number of keys one enumeration visits, not with
+// the product space, and never shrinks.
+type keySet struct {
+	keys  []uint64
+	gens  []uint32
+	gen   uint32 // current generation; 0 stamps a never-written slot
+	n     int    // members: slots stamped gen
+	shift uint   // 64 - log2(len(keys))
+}
+
+// keySetMinSize is the first table size (a power of two).
+const keySetMinSize = 64
+
+// reset empties the set.
+func (k *keySet) reset() {
+	k.n = 0
+	if k.gen++; k.gen == 0 {
+		clear(k.gens)
+		k.gen = 1
+	}
+}
+
+// insert adds key and reports whether it was already a member.
+func (k *keySet) insert(key uint64) bool {
+	if 2*(k.n+1) > len(k.keys) {
+		k.grow()
+	}
+	mask := uint64(len(k.keys) - 1)
+	for i := (key * 0x9e3779b97f4a7c15) >> k.shift; ; i = (i + 1) & mask {
+		if k.gens[i] != k.gen {
+			k.keys[i], k.gens[i] = key, k.gen
+			k.n++
+			return false
+		}
+		if k.keys[i] == key {
+			return true
+		}
+	}
+}
+
+// grow doubles the table, keeping the current generation's members.
+func (k *keySet) grow() {
+	keys, gens := k.keys, k.gens
+	size := max(2*len(keys), keySetMinSize)
+	//lint:ignore hotpathalloc doubling growth up to the peak visited count; reused across Resets
+	k.keys = make([]uint64, size)
+	//lint:ignore hotpathalloc doubling growth up to the peak visited count; reused across Resets
+	k.gens = make([]uint32, size)
+	k.shift = 64 - uint(bits.TrailingZeros(uint(size)))
+	k.n = 0
+	for i, g := range gens {
+		if g == k.gen {
+			k.insert(keys[i])
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package rankgraph
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -161,9 +162,58 @@ func TestLazyFrontierDoesNotExplode(t *testing.T) {
 			t.Fatal("ordering violated")
 		}
 	}
-	if len(e.seen) > 100*4+1 {
-		t.Errorf("visited set grew to %d, expected <= pops*m+1", len(e.seen))
+	if e.seen.n > 100*4+1 || len(e.seen.keys) > 4*(100*4+1) {
+		t.Errorf("visited set grew to %d keys in %d slots, expected <= pops*m+1 keys", e.seen.n, len(e.seen.keys))
 	}
+}
+
+// TestResetMatchesFresh: one Enumerator, Reset across a sequence of
+// spaces, pops exactly the ranks and totals a fresh New pops on each: a
+// large space that grows the visited set, a stream of 3 x 10 spaces
+// like LORA's cell tuples, an empty space and one whose keys overflow
+// uint64. The visited set's generation starts the stream so that it
+// wraps at the last space, the large one again: its first pass's stamps
+// carry the generation the wrap restarts at, and would read as visited
+// if the wrap did not clear them.
+func TestResetMatchesFresh(t *testing.T) {
+	large := benchLists(4, 30, 1)
+	spaces := [][][]float64{large}
+	limits := []int{3000}
+	for i := 0; i < 200; i++ {
+		spaces = append(spaces, benchLists(3, 10, int64(100+i)))
+		limits = append(limits, 13+987*btoi(i%50 == 0))
+	}
+	spaces = append(spaces, [][]float64{{0.5, 0.4}, {}}, benchLists(16, 20, 5), large)
+	limits = append(limits, 10, 200, 3000)
+
+	e := New(large)
+	wrapped := false
+	for i, lists := range spaces {
+		if i > 0 {
+			if i == 1 {
+				e.seen.gen = math.MaxUint32 - uint32(len(spaces)-2)
+			}
+			gen := e.seen.gen
+			e.Reset(lists)
+			wrapped = wrapped || e.seen.gen < gen
+		}
+		got, gotTotals := collect(e, limits[i])
+		want, wantTotals := collect(New(lists), limits[i])
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotTotals, wantTotals) {
+			t.Fatalf("space %d: the reset enumerator popped %d combinations that differ from a fresh one's %d",
+				i, len(got), len(want))
+		}
+	}
+	if !wrapped {
+		t.Fatal("the visited set's generation never wrapped")
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestNextReusesRankBuffer(t *testing.T) {

@@ -30,5 +30,10 @@ go run ./cmd/benchdiff -gate "$out" "$out" >/dev/null
 # zero-alloc kernels still report 0 allocs/op), not a timing measurement.
 go test -run '^$' -bench . -benchtime 100x \
     ./internal/vectormath ./internal/geo ./internal/simil >/dev/null
+# The rank graph's and the partition build's benchmarks print their
+# allocs/op into the log; ten iterations keep the 100k-point partition
+# builds to about a second.
+go test -run '^$' -bench . -benchtime 10x -benchmem \
+    ./internal/rankgraph ./internal/partition | grep '^Benchmark'
 
 echo "bench smoke: wrote $out ($(go run ./cmd/benchdiff "$out" "$out" | tail -1))"
