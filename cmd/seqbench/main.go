@@ -106,7 +106,7 @@ func experiments() []experiment {
 		{"fig11", "Fig 11, CSEQ-FP", func(ctx context.Context, w io.Writer, cfg eval.Config) error {
 			return eval.Fig11(ctx, w, cfg, firstTwo(cfg.Sizes))
 		}},
-		{"phases", "per-phase wall-time breakdown (obs.Trace)", single(eval.PhaseBreakdown)},
+		{"phases", "per-phase wall-time breakdown (span tracer, summed over queries)", single(eval.PhaseBreakdown)},
 		{"skew", "subspace-imbalance baseline from span tracing (parallel workers)", func(ctx context.Context, w io.Writer, cfg eval.Config) error {
 			return eval.SkewBaseline(ctx, w, cfg)
 		}},

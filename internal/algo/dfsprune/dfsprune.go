@@ -17,7 +17,6 @@ import (
 	"context"
 
 	"spatialseq/internal/dataset"
-	"spatialseq/internal/obs"
 	"spatialseq/internal/obs/span"
 	"spatialseq/internal/query"
 	"spatialseq/internal/simil"
@@ -30,24 +29,21 @@ import (
 // (the paper reports ">24hours" cells for this baseline); on cancellation
 // Search returns ctx.Err() and a nil result.
 func Search(ctx context.Context, ds *dataset.Dataset, q *query.Query) ([]topk.Entry, error) {
-	return SearchObserved(ctx, ds, q, nil, nil, span.Span{})
+	return SearchObserved(ctx, ds, q, nil, span.Span{})
 }
 
-// SearchObserved is Search with optional per-search counters, per-phase
-// wall-time tracing (candidate enumeration, DFS, top-k merge) and
-// hierarchical span tracing nested under parent: the baseline runs one
-// worker over one whole-space "subspace", so its timeline is a single
-// lane. st and tr may be nil; the zero parent Span disables span tracing
-// at no cost.
-func SearchObserved(ctx context.Context, ds *dataset.Dataset, q *query.Query, st *stats.Stats, tr *obs.Trace, parent span.Span) ([]topk.Entry, error) {
+// SearchObserved is Search with optional per-search counters and span
+// tracing nested under parent: the baseline runs one worker over one
+// whole-space "subspace", so its "dfs.candidates" and "dfs.search"
+// units both sit on lane 0, followed by "topk.merge". st may be nil;
+// the zero parent Span disables span tracing at no cost.
+func SearchObserved(ctx context.Context, ds *dataset.Dataset, q *query.Query, st *stats.Stats, parent span.Span) ([]topk.Entry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sctx := simil.NewContext(ds, q)
 	m := sctx.M
-	ws := parent.Worker("dfs.worker", 0)
-	sp := tr.Start("dfs.candidates")
-	csp := ws.Child("dfs.candidates")
+	csp := parent.Unit("dfs.candidates", 0, 0)
 	cands := make([][]simil.Cand, m)
 	var candTotal int64
 	for d := 0; d < m; d++ {
@@ -61,7 +57,6 @@ func SearchObserved(ctx context.Context, ds *dataset.Dataset, q *query.Query, st
 	st.AddCandidates(candTotal)
 	st.RaiseSubspaceCandidates(candTotal)
 	csp.End()
-	sp.End()
 	st.AddSubspaces(1) // the baseline searches the whole space as one
 	heap := topk.New(q.Params.K)
 	s := &searcher{
@@ -72,8 +67,7 @@ func SearchObserved(ctx context.Context, ds *dataset.Dataset, q *query.Query, st
 		tuple:   make([]int32, m),
 		scratch: sctx.NewScratch(),
 	}
-	sp = tr.Start("dfs.search")
-	sub := ws.Subspace("dfs.search", 0)
+	sub := parent.Unit("dfs.search", 0, 0)
 	err := s.dfs(0, 0)
 	sub.EndWork(stats.Snapshot{
 		Subspaces:             1,
@@ -83,19 +77,15 @@ func SearchObserved(ctx context.Context, ds *dataset.Dataset, q *query.Query, st
 		Offered:               s.offered,
 		SubspaceCandidatesMax: candTotal,
 	})
-	sp.End()
 	st.AddPrunedPrefixes(s.pruned)
 	st.AddTuples(s.tuples)
 	st.AddOffered(s.offered)
-	ws.End()
 	if err != nil {
 		return nil, err
 	}
-	sp = tr.Start("topk.merge")
 	msp := parent.Child("topk.merge")
 	res := heap.Results()
 	msp.End()
-	sp.End()
 	return res, nil
 }
 

@@ -19,12 +19,10 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"time"
 
 	"spatialseq/internal/algo/sched"
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
-	"spatialseq/internal/obs"
 	"spatialseq/internal/obs/span"
 	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
@@ -73,10 +71,6 @@ type Options struct {
 	// Stats, when non-nil, collects per-search counters (subspaces,
 	// candidates, pruned prefixes, scored tuples).
 	Stats *stats.Stats
-	// Trace, when non-nil, records per-phase wall time (partitioning,
-	// candidate enumeration, DFS, top-k merge). With Parallelism > 1
-	// the phase times sum across workers and can exceed wall time.
-	Trace *obs.Trace
 	// Span, when live, is the parent span the search nests its
 	// hierarchical timeline under: one "hsp.candidates" unit span per
 	// subspace prep and one "hsp.dfs" unit span per enumerated chunk,
@@ -99,11 +93,9 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 		// Ablation flag: one subspace covering everything stays exact.
 		radius = math.Inf(1)
 	}
-	sp := opt.Trace.Start("hsp.partition")
 	psp := opt.Span.Child("hsp.partition")
 	part, err := ix.PartitionBucketed(radius)
 	psp.End()
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +128,6 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	// lazily on the sequential path, eagerly (read-only, worker-safe) when
 	// subspaces run in parallel. A single subspace has no reuse to win.
 	if len(work) > 1 {
-		sp = opt.Trace.Start("hsp.simprep")
 		ssp := opt.Span.Child("hsp.simprep")
 		if workers > 1 {
 			opt.Stats.AddAttrSimMemoMisses(sctx.PrepareMemoShared())
@@ -144,7 +135,6 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 			sctx.EnableMemo()
 		}
 		ssp.End()
-		sp.End()
 	}
 	var sink topk.ResultSink
 	switch {
@@ -165,11 +155,9 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	h, mi := sctx.MemoCounters()
 	opt.Stats.AddAttrSimMemoHits(h)
 	opt.Stats.AddAttrSimMemoMisses(mi)
-	sp = opt.Trace.Start("topk.merge")
 	msp := opt.Span.Child("topk.merge")
 	res := sink.Results()
 	msp.End()
-	sp.End()
 	return res, nil
 }
 
@@ -189,7 +177,6 @@ func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *qu
 		// each worker tallies its own hits in the local batch instead.
 		countHits: sctx.MemoShared(),
 		st:        opt.Stats,
-		tr:        opt.Trace,
 	}
 }
 
@@ -200,15 +187,8 @@ func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *qu
 // skip marks, memo hits); enumeration counters land on Chunk's spans.
 func (s *searcher) Prep(p *prepState, w, sub int) (int, error) {
 	s.local = localCounters{}
-	var t0 time.Time
-	if s.tr != nil {
-		t0 = time.Now()
-	}
 	sp := s.span.Unit("hsp.candidates", w, sub)
 	skip, err := s.prepareInto(p, s.sctx.DS, s.q, s.work[sub])
-	if s.tr != nil {
-		s.tr.Add("hsp.candidates", time.Since(t0))
-	}
 	s.st.AddAttrSimMemoHits(s.local.memoHits)
 	if err != nil {
 		sp.End()
@@ -238,16 +218,9 @@ func (s *searcher) Prep(p *prepState, w, sub int) (int, error) {
 // attribution keeps naming the heaviest subspace.
 func (s *searcher) Chunk(p *prepState, w, sub, lo, hi int) error {
 	s.local = localCounters{}
-	var t0 time.Time
-	if s.tr != nil {
-		t0 = time.Now()
-	}
 	sp := s.span.Unit("hsp.dfs", w, sub)
 	s.attach(p)
 	err := s.dfs(0, 0, lo, hi)
-	if s.tr != nil {
-		s.tr.Add("hsp.dfs", time.Since(t0))
-	}
 	s.st.AddPrunedPrefixes(s.local.pruned)
 	s.st.AddTuples(s.local.tuples)
 	s.st.AddOffered(s.local.offered)
@@ -298,7 +271,6 @@ type searcher struct {
 	rbarSuffix []float64
 	steps      int
 	st         *stats.Stats
-	tr         *obs.Trace
 	local      localCounters
 }
 

@@ -26,13 +26,11 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"time"
 
 	"spatialseq/internal/algo/sched"
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
 	"spatialseq/internal/grid"
-	"spatialseq/internal/obs"
 	"spatialseq/internal/obs/span"
 	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
@@ -76,18 +74,15 @@ type Options struct {
 	// Stats, when non-nil, collects per-search counters (subspaces,
 	// cell tuples, rank-graph pops, sampling discards).
 	Stats *stats.Stats
-	// Trace, when non-nil, records per-phase wall time (partitioning,
-	// bucketing/sampling, cell enumeration, rank-graph point
-	// enumeration, top-k merge). With Parallelism > 1 the phase times
-	// sum across workers and can exceed wall time.
-	Trace *obs.Trace
 	// Span, when live, is the parent span the search nests its
 	// hierarchical timeline under: one "lora.sample" unit span per
 	// subspace prep and one "lora.enum" unit span per enumerated chunk,
 	// each tagged with both its worker lane and owning subspace and
-	// carrying that unit's work-counter delta. Sequential searches run
-	// every unit on lane 0, one chunk per searched subspace. The zero
-	// Span disables span tracing at no cost.
+	// carrying that unit's work-counter delta. Each point enumeration
+	// is a "lora.points" Tally of its chunk's span: timed apart from
+	// the cell DFS, without a tree node. Sequential searches run every
+	// unit on lane 0, one chunk per searched subspace. The zero Span
+	// disables span tracing at no cost.
 	Span span.Span
 }
 
@@ -98,11 +93,9 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	}
 	sctx := simil.NewContext(ds, q)
 	radius := sctx.PartitionRadius()
-	sp := opt.Trace.Start("lora.partition")
 	psp := opt.Span.Child("lora.partition")
 	part, err := ix.PartitionBucketed(radius)
 	psp.End()
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +123,6 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	// sequential, eagerly (read-only) when subspace workers share the
 	// Context. One subspace means no reuse, so skip the table.
 	if len(work) > 1 {
-		sp = opt.Trace.Start("lora.simprep")
 		ssp := opt.Span.Child("lora.simprep")
 		if workers > 1 {
 			opt.Stats.AddAttrSimMemoMisses(sctx.PrepareMemoShared())
@@ -138,7 +130,6 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 			sctx.EnableMemo()
 		}
 		ssp.End()
-		sp.End()
 	}
 	var sink topk.ResultSink
 	switch {
@@ -159,11 +150,9 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	h, mi := sctx.MemoCounters()
 	opt.Stats.AddAttrSimMemoHits(h)
 	opt.Stats.AddAttrSimMemoMisses(mi)
-	sp = opt.Trace.Start("topk.merge")
 	msp := opt.Span.Child("topk.merge")
 	res := sink.Results()
 	msp.End()
-	sp.End()
 	return res, nil
 }
 
@@ -193,7 +182,6 @@ func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *qu
 		// each worker tallies its own hits in the local batch instead.
 		countHits: sctx.MemoShared(),
 		st:        opt.Stats,
-		tr:        opt.Trace,
 		tuple:     make([]int32, sctx.M),
 		asims:     make([]float64, sctx.M),
 		dist:      make([]float64, 0, sctx.Pairs),
@@ -273,12 +261,11 @@ type searcher struct {
 	opt       Options
 	countHits bool
 	st        *stats.Stats
-	tr        *obs.Trace
 	local     localCounters
 	steps     int
-	// pointDur accumulates time spent in pointEnum during the current
-	// cellDFS, so the cell- and point-level phases report disjointly.
-	pointDur time.Duration
+	// chunk is the current Chunk's "lora.enum" span, the parent of each
+	// point enumeration's "lora.points" tally.
+	chunk span.Span
 
 	// g/buckets/cellLists/rbarSuffix are views of the prep state
 	// attached for the current enumeration.
@@ -366,18 +353,11 @@ func (s *searcher) checkCancel() error {
 // delta (candidate volume, sampling discards, skip marks, memo hits);
 // enumeration counters land on Chunk's spans.
 func (s *searcher) Prep(p *prepState, w, sub int) (int, error) {
-	var t0 time.Time
-	if s.tr != nil {
-		t0 = time.Now()
-	}
 	sp := s.opt.Span.Unit("lora.sample", w, sub)
 	skip, err := s.prepareInto(p, s.work[sub])
 	if err != nil {
 		sp.End()
 		return 0, err
-	}
-	if s.tr != nil {
-		s.tr.Add("lora.sample", time.Since(t0))
 	}
 	if skip {
 		s.st.AddSubspacesSkipped(1)
@@ -395,23 +375,13 @@ func (s *searcher) Prep(p *prepState, w, sub int) (int, error) {
 // prepared in p. The "lora.enum" unit span carries the enumeration
 // work delta, attributed to the owning subspace, so Tree.Skew keeps
 // measuring per-lane busy time and the straggler attribution keeps
-// naming the heaviest subspace.
+// naming the heaviest subspace. Its phase time is the cell DFS's own:
+// the point enumerations nested in it are tallied as "lora.points".
 func (s *searcher) Chunk(p *prepState, w, sub, lo, hi int) error {
-	var t0 time.Time
-	if s.tr != nil {
-		t0 = time.Now()
-	}
-	sp := s.opt.Span.Unit("lora.enum", w, sub)
+	s.chunk = s.opt.Span.Unit("lora.enum", w, sub)
 	s.attach(p)
-	s.pointDur = 0
 	err := s.cellDFS(0, 0, lo, hi)
-	if s.tr != nil {
-		// pointEnum time is carved out of the enumeration window so the
-		// cell- and point-level phases stay disjoint.
-		s.tr.Add("lora.points", s.pointDur)
-		s.tr.Add("lora.cells", time.Since(t0)-s.pointDur)
-	}
-	sp.EndWork(s.localDelta())
+	s.chunk.EndWork(s.localDelta())
 	s.flushStats()
 	return err
 }
@@ -730,11 +700,7 @@ func (s *searcher) cellPrefixFeasible(dim int) bool {
 //
 //seq:hotpath
 func (s *searcher) pointEnum() error {
-	if s.tr != nil {
-		t0 := time.Now()
-		//lint:ignore hotpathalloc tracing-only branch, gated on s.tr != nil; production searches never reach it
-		defer func() { s.pointDur += time.Since(t0) }()
-	}
+	defer s.chunk.Tally("lora.points").End()
 	c := s.sctx
 	m := c.M
 	s.local.cellTuples++

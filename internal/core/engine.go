@@ -97,18 +97,14 @@ type Options struct {
 	// CollectStats attaches per-search counters to the Result
 	// (Result.Stats) explaining where the search spent its work.
 	CollectStats bool
-	// Trace, when non-nil, records wall time per search phase
-	// (validation, partitioning, enumeration, DFS, top-k merge) into
-	// the supplied trace — the timing companion to CollectStats. On the
-	// default sequential path the phases are disjoint, so their sum is
-	// bounded by Result.Elapsed.
-	Trace *obs.Trace
-	// Spans, when non-nil, records the hierarchical span tree of the
-	// execution: per-goroutine worker timelines with per-subspace work
-	// deltas attached. It supersedes the flat Trace where both are set —
-	// phase timings are then derived from the tree (with parallel
-	// overlap marked) and slow queries retain the tree in their flight
-	// record for /debug/trace. Nil disables span tracing at no cost.
+	// Spans, when non-nil, times the execution — the timing companion
+	// to CollectStats. It records the hierarchical span tree (worker
+	// timelines with per-subspace work deltas attached), which slow
+	// queries retain in their flight record for /debug/trace, and the
+	// exact per-phase totals Spans.PhaseTimings reports (validation,
+	// partitioning, enumeration, DFS, top-k merge). On the sequential
+	// path the phases are disjoint, so their sum is bounded by
+	// Result.Elapsed. Nil disables tracing at no cost.
 	Spans *span.Tracer
 }
 
@@ -219,15 +215,9 @@ func (e *Engine) Search(ctx context.Context, q *query.Query, algo Algorithm, opt
 		Dims:      int32(e.ds.AttrDim()),
 		Pins:      int32(len(q.Example.Fixed)),
 		K:         int32(q.Params.K),
-		Phases:    opt.Trace.Snapshot(),
+		Phases:    opt.Spans.PhaseTimings(),
+		Skew:      opt.Spans.Skew(),
 	}
-	// Span-derived phase timings supersede the flat trace: same names,
-	// but parallel overlap is marked instead of silently summed. A tree
-	// truncated by its bounds yields none and the flat trace stands.
-	if p := opt.Spans.PhaseTimings(); p != nil {
-		rec.Phases = p
-	}
-	rec.Skew = opt.Spans.Skew()
 	if err == nil {
 		rec.LatencyNS = int64(res.Elapsed)
 		rec.Algorithm = res.Algorithm.String()
@@ -304,11 +294,9 @@ func (e *Engine) search(ctx context.Context, q *query.Query, algo Algorithm, opt
 	// sequential path).
 	start := time.Now()
 	root := opt.Spans.Root("search")
-	sp := opt.Trace.Start("validate")
 	vsp := root.Child("validate")
 	verr := q.Validate(e.ds)
 	vsp.End()
-	sp.End()
 	if verr != nil {
 		root.End()
 		return nil, verr
@@ -320,8 +308,6 @@ func (e *Engine) search(ctx context.Context, q *query.Query, algo Algorithm, opt
 		opt.HSP.Stats = st
 		opt.LORA.Stats = st
 	}
-	opt.HSP.Trace = opt.Trace
-	opt.LORA.Trace = opt.Trace
 	opt.HSP.Span = root
 	opt.LORA.Span = root
 	var (
@@ -330,13 +316,11 @@ func (e *Engine) search(ctx context.Context, q *query.Query, algo Algorithm, opt
 	)
 	switch algo {
 	case BruteForce:
-		sp = opt.Trace.Start("brute.search")
 		bsp := root.Child("brute.search")
 		entries = brute.Search(e.ds, q)
 		bsp.End()
-		sp.End()
 	case DFSPrune:
-		entries, err = dfsprune.SearchObserved(ctx, e.ds, q, st, opt.Trace, root)
+		entries, err = dfsprune.SearchObserved(ctx, e.ds, q, st, root)
 	case HSP:
 		entries, err = hsp.Search(ctx, e.ds, e.pix, q, opt.HSP)
 	case LORA:

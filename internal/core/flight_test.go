@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -26,7 +27,7 @@ func TestSearchEmitsFlightRecord(t *testing.T) {
 	rec := retainAll()
 	eng.SetFlightRecorder(rec)
 	ctx := obs.WithRequestID(context.Background(), "test-req-1")
-	res, err := eng.Search(ctx, q, HSP, Options{CollectStats: true, Trace: obs.NewTrace()})
+	res, err := eng.Search(ctx, q, HSP, Options{CollectStats: true, Spans: span.NewTracer()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestSearchEmitsFlightRecord(t *testing.T) {
 		t.Errorf("record work %+v != result stats %+v", r.Work, res.Stats)
 	}
 	if len(r.Phases) == 0 {
-		t.Error("record carries no phase timings despite an attached trace")
+		t.Error("record carries no phase timings despite an attached tracer")
 	}
 	if r.LatencyNS != int64(res.Elapsed) {
 		t.Errorf("latency %d != elapsed %d", r.LatencyNS, int64(res.Elapsed))
@@ -67,23 +68,69 @@ func TestSearchEmitsFlightRecord(t *testing.T) {
 	}
 }
 
-// TestTruncatedSpansKeepFlatPhases: a span tree that hit its node bound
-// lost the dropped spans' time, so the flight record carries the flat
-// trace's phases, not the tree's.
+// TestTruncatedSpansKeepFlatPhases: the phase table is exact past the
+// span tree's node bound. The same query under a tracer bounded to 8
+// nodes and under an unbounded one yields the same phase names and
+// counts, in PhaseTimings and in the flight record alike; only the unit
+// phases are compared in parallel, where the threshold race moves the
+// number of point enumerations. Sequentially the phases sum to no more
+// than the elapsed time, and with every span kept they sum to the
+// search root's children exactly: no nanosecond is counted twice.
 func TestTruncatedSpansKeepFlatPhases(t *testing.T) {
-	eng, q := setup(t, 150)
+	eng, q := setup(t, 300)
 	rec := retainAll()
 	eng.SetFlightRecorder(rec)
-	tr, spans := obs.NewTrace(), span.NewTracerLimits(8, 0)
-	if _, err := eng.Search(context.Background(), q, HSP, Options{Trace: tr, Spans: spans}); err != nil {
-		t.Fatal(err)
-	}
-	if spans.Dropped() == 0 {
-		t.Fatal("the search fit in 8 spans; want a truncated tree")
-	}
-	got, want := rec.Recent(1)[0].Phases, tr.Snapshot()
-	if len(want) == 0 || !reflect.DeepEqual(got, want) {
-		t.Errorf("record phases %+v, want the flat trace's %+v", got, want)
+	units := map[string]bool{"hsp.candidates": true, "hsp.dfs": true, "lora.sample": true, "lora.enum": true}
+	for _, algo := range []Algorithm{DFSPrune, HSP, LORA} {
+		for _, par := range []int{1, 2} {
+			if algo == DFSPrune && par > 1 {
+				continue // the baseline has no parallel path
+			}
+			var names [2]string
+			var full *span.Tracer
+			for i, spans := range []*span.Tracer{span.NewTracerLimits(8, 0), span.NewTracerLimits(1<<20, 64)} {
+				opt := Options{Spans: spans}
+				opt.HSP.Parallelism = par
+				opt.LORA.Parallelism = par
+				qq := *q
+				res, err := eng.Search(context.Background(), &qq, algo, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 && algo != DFSPrune && spans.Dropped() == 0 {
+					t.Fatalf("%v par=%d: the search fit in 8 spans; want a truncated tree", algo, par)
+				}
+				phases := spans.PhaseTimings()
+				if got := rec.Recent(1)[0].Phases; !reflect.DeepEqual(got, phases) {
+					t.Errorf("%v par=%d: record phases %+v, want PhaseTimings' %+v", algo, par, got, phases)
+				}
+				for _, p := range phases {
+					if par == 1 || units[p.Name] {
+						names[i] += fmt.Sprintf("%s×%d ", p.Name, p.Count)
+					}
+				}
+				if par == 1 && phaseSumNS(phases) > int64(res.Elapsed) {
+					t.Errorf("%v: phases sum to %dns, more than the elapsed %v", algo, phaseSumNS(phases), res.Elapsed)
+				}
+				full = spans
+			}
+			if names[0] != names[1] || names[0] == "" {
+				t.Errorf("%v par=%d: truncated tree's phases %q, unbounded tree's %q", algo, par, names[0], names[1])
+			}
+			if tree := full.Snapshot(); tree.Dropped != 0 {
+				t.Fatalf("%v: the unbounded tracer dropped %d spans", algo, tree.Dropped)
+			} else if par == 1 {
+				var children int64
+				for _, n := range tree.Nodes {
+					if n.Parent == 0 {
+						children += n.DurNS()
+					}
+				}
+				if sum := phaseSumNS(full.PhaseTimings()); sum != children {
+					t.Errorf("%v: phases sum to %dns, the root's children span %dns", algo, sum, children)
+				}
+			}
+		}
 	}
 }
 

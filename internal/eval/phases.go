@@ -8,14 +8,15 @@ import (
 
 	"spatialseq/internal/core"
 	"spatialseq/internal/obs"
+	"spatialseq/internal/obs/span"
 	"spatialseq/internal/query"
 	"spatialseq/internal/stats"
 	"spatialseq/internal/workload"
 )
 
-// PhaseBreakdown runs the workload under each algorithm with phase
-// tracing enabled and prints where the wall time goes — the same trace
-// the server returns per request with include_stats, aggregated over a
+// PhaseBreakdown runs the workload under each algorithm with span
+// tracing enabled and prints where the wall time goes — the same phases
+// the server returns per request with include_stats, summed over a
 // whole query set. It answers "which phase do I optimise next" the way
 // Table II answers "which algorithm wins".
 func PhaseBreakdown(ctx context.Context, w io.Writer, f Family, n int, cfg Config) error {
@@ -33,8 +34,7 @@ func PhaseBreakdown(ctx context.Context, w io.Writer, f Family, n int, cfg Confi
 	rp.printf(w, "Phase breakdown (%s-like, %d POIs, up to %d queries per algorithm)\n", f, n, len(queries))
 	rp.println(tw, "algo\tphase\ttotal\tcalls\tshare")
 	for _, algo := range []core.Algorithm{core.DFSPrune, core.HSP, core.LORA} {
-		tr := obs.NewTrace()
-		ran, work, err := runTraced(ctx, eng, queries, algo, tr, cfg.Budget)
+		ran, snap, work, err := runTraced(ctx, eng, queries, algo, cfg.Budget)
 		if err != nil {
 			return err
 		}
@@ -42,7 +42,6 @@ func PhaseBreakdown(ctx context.Context, w io.Writer, f Family, n int, cfg Confi
 			rp.printf(tw, "%s\t(no query finished within %s)\t\t\t\n", algo, cfg.Budget)
 			continue
 		}
-		snap := tr.Snapshot()
 		var total float64
 		for _, p := range snap {
 			total += p.DurationMS
@@ -64,30 +63,47 @@ func PhaseBreakdown(ctx context.Context, w io.Writer, f Family, n int, cfg Confi
 	return rp.flush(tw)
 }
 
-// runTraced runs queries under algo until the budget expires, recording
-// phases into tr. It returns how many queries completed and the summed
-// work counters.
-func runTraced(ctx context.Context, eng *core.Engine, queries []*query.Query, algo core.Algorithm, tr *obs.Trace, budget time.Duration) (int, stats.Snapshot, error) {
+// runTraced runs queries under algo until the budget expires, each
+// under its own span tracer. It returns how many queries completed, the
+// completed queries' phases summed by name in first-recorded order, and
+// their summed work counters.
+func runTraced(ctx context.Context, eng *core.Engine, queries []*query.Query, algo core.Algorithm, budget time.Duration) (int, []obs.PhaseTiming, stats.Snapshot, error) {
 	warmPartitions(eng, queries)
 	deadline := time.Now().Add(budget)
 	ran := 0
-	var work stats.Snapshot
+	var (
+		phases []obs.PhaseTiming
+		work   stats.Snapshot
+	)
+	index := make(map[string]int)
 	for _, q := range queries {
 		if time.Now().After(deadline) {
 			break
 		}
 		qctx, cancel := context.WithDeadline(ctx, deadline)
 		qq := *q
-		res, err := eng.Search(qctx, &qq, algo, core.Options{Trace: tr, CollectStats: true})
+		tr := span.NewTracer()
+		res, err := eng.Search(qctx, &qq, algo, core.Options{Spans: tr, CollectStats: true})
 		cancel()
 		if err != nil {
 			if qctx.Err() != nil && ctx.Err() == nil {
 				break // budget exhausted mid-query; keep what we have
 			}
-			return ran, work, err
+			return ran, phases, work, err
+		}
+		for _, p := range tr.PhaseTimings() {
+			i, ok := index[p.Name]
+			if !ok {
+				i = len(phases)
+				index[p.Name] = i
+				phases = append(phases, obs.PhaseTiming{Name: p.Name})
+			}
+			phases[i].DurationMS += p.DurationMS
+			phases[i].Count += p.Count
+			phases[i].Parallel = phases[i].Parallel || p.Parallel
 		}
 		work = work.Add(res.Stats)
 		ran++
 	}
-	return ran, work, nil
+	return ran, phases, work, nil
 }

@@ -6,8 +6,8 @@
 //
 // One structured Record is captured per completed query: the request ID,
 // the CSEQ shape fingerprint (m, dims, pins, k, algorithm), cache
-// hit/miss, outcome, total latency, the full per-phase wall times from
-// obs.Trace, and the work-counter snapshot from internal/stats. Records
+// hit/miss, outcome, total latency, the exact per-phase times from the
+// span tracer, and the work-counter snapshot from internal/stats. Records
 // land in a fixed-size lock-cheap ring buffer ("everything recent") and
 // in a tail-sampler that always retains the slowest N per time window
 // ("everything worth keeping"). A streaming-quantile p99 tracker drives

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -25,6 +26,20 @@ func TestNopLoggerDiscards(t *testing.T) {
 	log := NopLogger()
 	log.Error("nothing should happen", "k", "v")
 	log.With("a", 1).WithGroup("g").Info("still nothing")
+}
+
+func TestRequestIDs(t *testing.T) {
+	seen := make(map[string]bool)
+	for i := 0; i < 100; i++ {
+		id := NewRequestID()
+		if len(id) != 16 || strings.ToLower(id) != id {
+			t.Fatalf("malformed request id %q", id)
+		}
+		if seen[id] {
+			t.Fatalf("duplicate request id %q", id)
+		}
+		seen[id] = true
+	}
 }
 
 func TestRequestIDContext(t *testing.T) {

@@ -1,9 +1,8 @@
-// Package span implements hierarchical span tracing for one query
-// execution: a bounded tree of named time intervals, where each parallel
-// subspace worker records its own timeline instead of folding into the
-// flat per-phase sums of obs.Trace. A span may carry a stats.Snapshot
-// work delta, so a retained trace explains both *where* the time went
-// and *what* was done there.
+// Package span is the query's one timing instrument: a bounded tree of
+// named time intervals, where each parallel subspace worker records its
+// own timeline, plus an exact per-name table of the time spent in each
+// phase. A span may carry a stats.Snapshot work delta, so a retained
+// trace explains both *where* the time went and *what* was done there.
 //
 // The package sits in the observability leaf band next to
 // internal/obs/flight: it may import only internal/obs (phase-timing
@@ -11,10 +10,11 @@
 // references *Tree values in retained records; the server renders them
 // as Chrome trace-event JSON.
 //
-// Emission is allocation-free apart from the bounded arena append: a
-// nil *Tracer (tracing off) and the zero Span are safe no-ops on every
-// method, so the algorithms thread spans through unconditionally — the
-// same discipline as *stats.Stats and *obs.Trace.
+// Emission is allocation-free apart from the bounded arena append and
+// the phase table's growth at a name's first span: a nil *Tracer
+// (tracing off) and the zero Span are safe no-ops on every method, so
+// the algorithms thread spans through unconditionally — the same
+// discipline as *stats.Stats.
 package span
 
 import (
@@ -24,25 +24,37 @@ import (
 	"spatialseq/internal/stats"
 )
 
-// Tree-size bounds, mirroring obs.Trace's maxPhases discipline: a buggy
-// caller cannot grow a request's span tree without limit. Spans beyond
-// either bound are dropped (counted, with their whole subtree).
+// Tree-size bounds: a buggy caller cannot grow a request's span tree
+// without limit. Spans beyond either bound take no node (counted, with
+// their whole subtree); their time still reaches the phase table.
 const (
 	DefaultMaxNodes = 512
 	DefaultMaxDepth = 8
 )
 
-// noID marks a span handle whose node was dropped by the tree bounds;
-// children of a dropped span are dropped (and counted) too.
+// maxPhases bounds the distinct phase names one tracer will time, so a
+// caller generating unbounded names cannot grow the table either. A
+// span ended under a further name is counted in PhasesDropped.
+const maxPhases = 64
+
+// noID marks a span handle that took no arena node; children of a
+// dropped span are dropped (and counted) too.
 const noID = int32(-1)
+
+// Phase-table slots of span handles that record no phase of their own:
+// roots (and the zero Span), and spans named past maxPhases.
+const (
+	noPhase   = int16(-1)
+	overPhase = int16(-2)
+)
 
 // node is one span in the arena. Offsets are nanoseconds since the
 // tracer's epoch, from the monotonic clock; endNS < 0 means still open.
 type node struct {
 	name     string
 	parent   int32 // arena index; -1 for roots
-	worker   int32 // worker lane; -1 when inherited from no worker span
-	subspace int32 // subspace index; -1 unless tagged by Subspace
+	worker   int32 // worker lane; -1 when untagged
+	subspace int32 // subspace index; -1 unless tagged by Unit
 	depth    int16
 	hasWork  bool
 	startNS  int64
@@ -50,10 +62,20 @@ type node struct {
 	work     stats.Snapshot
 }
 
-// Tracer owns one query's span arena. One Tracer covers one query
-// execution and is safe for concurrent use by parallel workers. A nil
-// *Tracer is a no-op everywhere; allocate one per query only when span
-// tracing is wanted.
+// phase is one name's running total: the summed self time of its ended
+// spans, kept as nodes or not.
+type phase struct {
+	name     string
+	ns       int64
+	count    int64
+	lane     int32 // worker lane of the first recording
+	parallel bool  // recorded on more than one lane
+}
+
+// Tracer owns one query's span arena and phase table. One Tracer covers
+// one query execution and is safe for concurrent use by parallel
+// workers. A nil *Tracer is a no-op everywhere; allocate one per query
+// only when span tracing is wanted.
 type Tracer struct {
 	mu       sync.Mutex
 	epoch    time.Time // monotonic anchor for all offsets
@@ -62,6 +84,9 @@ type Tracer struct {
 	maxDepth int
 	dropped  int64
 	nodes    []node
+
+	phases        []phase
+	phasesDropped int64
 }
 
 // NewTracer returns a tracer with the default tree bounds.
@@ -89,50 +114,40 @@ func NewTracerLimits(maxNodes, maxDepth int) *Tracer {
 		maxNodes: maxNodes,
 		maxDepth: maxDepth,
 		nodes:    make([]node, 0, capHint),
+		// Every search's phases fit: DFS-Prune has 4 names, HSP 6, LORA 7.
+		phases: make([]phase, 0, 8),
 	}
 }
 
-// Span is a handle on one node of a tracer's arena. The zero Span (from
-// a nil Tracer) is a no-op on every method and yields no-op children, so
+// Span is a handle on one span of a tracer. The zero Span (from a nil
+// Tracer) is a no-op on every method and yields no-op children, so
 // callers never branch on whether tracing is enabled.
 type Span struct {
-	t      *Tracer
-	id     int32
-	depth  int16
-	worker int32
+	t       *Tracer
+	id      int32 // arena index, or noID
+	depth   int16
+	phase   int16 // this span's phase-table slot
+	under   int16 // the parent's slot, whose self time excludes this span
+	worker  int32
+	startNS int64
 }
 
-// Root opens a top-level span. A nil tracer yields the no-op zero Span.
+// Root opens a top-level span. Roots are containers, not phases: their
+// time is not tabled. A nil tracer yields the no-op zero Span.
 //
 //seq:hotpath
 func (t *Tracer) Root(name string) Span {
 	if t == nil {
 		return Span{}
 	}
-	return t.add(name, noID, 0, noID, noID)
+	return t.add(name, noID, 0, noPhase, noID, noID, true)
 }
 
 // Child opens a sub-span of s, inheriting s's worker lane.
 //
 //seq:hotpath
 func (s Span) Child(name string) Span {
-	return s.open(name, s.worker, noID)
-}
-
-// Worker opens a sub-span tagged with a worker lane: one goroutine's
-// timeline in a parallel subspace search. Descendant spans inherit the
-// lane, so every interval lands on the right track of the export.
-//
-//seq:hotpath
-func (s Span) Worker(name string, w int) Span {
-	return s.open(name, int32(w), noID)
-}
-
-// Subspace opens a sub-span tagged with the subspace index it searches.
-//
-//seq:hotpath
-func (s Span) Subspace(name string, idx int) Span {
-	return s.open(name, s.worker, int32(idx))
+	return s.open(name, s.worker, noID, true)
 }
 
 // Unit opens a sub-span tagged with both a worker lane and a subspace
@@ -145,67 +160,88 @@ func (s Span) Subspace(name string, idx int) Span {
 //
 //seq:hotpath
 func (s Span) Unit(name string, w, idx int) Span {
-	return s.open(name, int32(w), int32(idx))
+	return s.open(name, int32(w), int32(idx), true)
+}
+
+// Tally opens a sub-span that is timed into the phase table but takes
+// no arena node and does not count as dropped: for calls too numerous
+// for the tree, such as LORA's point enumeration of every cell tuple.
+// It inherits s's worker lane; its children are dropped from the tree.
+//
+//seq:hotpath
+func (s Span) Tally(name string) Span {
+	return s.open(name, s.worker, noID, false)
 }
 
 //seq:hotpath
-func (s Span) open(name string, worker, subspace int32) Span {
+func (s Span) open(name string, worker, subspace int32, keep bool) Span {
 	if s.t == nil {
 		return Span{}
 	}
-	if s.id == noID {
-		// Child of a dropped span: the subtree is truncated, and every
-		// suppressed node counts toward Dropped.
-		s.t.drop()
-		return Span{t: s.t, id: noID, depth: s.depth + 1, worker: worker}
-	}
-	return s.t.add(name, s.id, s.depth+1, worker, subspace)
+	return s.t.add(name, s.id, s.depth+1, s.phase, worker, subspace, keep)
 }
 
+// add opens a span. It takes an arena node when one is wanted and the
+// parent, the depth and the node bounds allow; otherwise the span is
+// timed but dropped from the tree (counted, unless it was a Tally).
+//
 //seq:hotpath
-func (t *Tracer) add(name string, parent int32, depth int16, worker, subspace int32) Span {
+func (t *Tracer) add(name string, parent int32, depth, under int16, worker, subspace int32, keep bool) Span {
 	start := int64(time.Since(t.epoch))
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if int(depth) >= t.maxDepth || len(t.nodes) >= t.maxNodes {
-		t.dropped++
-		return Span{t: t, id: noID, depth: depth, worker: worker}
+	sp := Span{t: t, id: noID, depth: depth, phase: noPhase, under: under, worker: worker, startNS: start}
+	if depth > 0 {
+		sp.phase = t.slot(name)
 	}
-	id := int32(len(t.nodes))
-	//lint:ignore hotpathalloc arena append is bounded by maxNodes; growth beyond the initial capacity amortises across the query
-	t.nodes = append(t.nodes, node{
-		name:     name,
-		parent:   parent,
-		worker:   worker,
-		subspace: subspace,
-		depth:    depth,
-		startNS:  start,
-		endNS:    -1,
-	})
-	return Span{t: t, id: id, depth: depth, worker: worker}
+	switch {
+	case !keep:
+	case (depth > 0 && parent == noID) || int(depth) >= t.maxDepth || len(t.nodes) >= t.maxNodes:
+		t.dropped++
+	default:
+		sp.id = int32(len(t.nodes))
+		//lint:ignore hotpathalloc arena append is bounded by maxNodes; growth beyond the initial capacity amortises across the query
+		t.nodes = append(t.nodes, node{
+			name:     name,
+			parent:   parent,
+			worker:   worker,
+			subspace: subspace,
+			depth:    depth,
+			startNS:  start,
+			endNS:    -1,
+		})
+	}
+	return sp
 }
 
+// slot returns name's phase-table slot, adding it in first-opened
+// order, or overPhase once maxPhases names are taken. The caller holds
+// t.mu.
+//
 //seq:hotpath
-func (t *Tracer) drop() {
-	t.mu.Lock()
-	t.dropped++
-	t.mu.Unlock()
+func (t *Tracer) slot(name string) int16 {
+	for i := range t.phases {
+		if t.phases[i].name == name {
+			return int16(i)
+		}
+	}
+	if len(t.phases) == maxPhases {
+		return overPhase
+	}
+	//lint:ignore hotpathalloc the table grows once per new name, at most maxPhases times per query
+	t.phases = append(t.phases, phase{name: name})
+	return int16(len(t.phases) - 1)
 }
 
-// End closes the span at the current time. Ending twice keeps the first
-// end; ending the zero Span is a no-op.
+// End closes the span at the current time. Ending a kept span twice
+// keeps the first end and tables its time once; ending the zero Span is
+// a no-op.
 //
 //seq:hotpath
 func (s Span) End() {
-	if s.t == nil || s.id == noID {
-		return
+	if s.t != nil {
+		s.t.end(s, nil)
 	}
-	end := int64(time.Since(s.t.epoch))
-	s.t.mu.Lock()
-	if n := &s.t.nodes[s.id]; n.endNS < 0 {
-		n.endNS = end
-	}
-	s.t.mu.Unlock()
 }
 
 // EndWork closes the span and attaches the work-counter delta performed
@@ -213,22 +249,53 @@ func (s Span) End() {
 //
 //seq:hotpath
 func (s Span) EndWork(delta stats.Snapshot) {
-	if s.t == nil || s.id == noID {
-		return
+	if s.t != nil {
+		s.t.end(s, &delta)
 	}
-	end := int64(time.Since(s.t.epoch))
-	s.t.mu.Lock()
-	if n := &s.t.nodes[s.id]; n.endNS < 0 {
-		n.endNS = end
-		n.work = delta
-		n.hasWork = true
-	}
-	s.t.mu.Unlock()
 }
 
-// Dropped reports how many spans the tree bounds discarded — the span
-// counterpart of obs.Trace.Dropped, feeding the same truncation metric
-// discipline (spatialseq_spans_dropped_total).
+// end closes s and adds its self time to the phase table: its duration
+// goes to its own name and comes off its parent's, so each name totals
+// its spans' durations minus their child spans' durations.
+//
+//seq:hotpath
+func (t *Tracer) end(s Span, work *stats.Snapshot) {
+	end := int64(time.Since(t.epoch))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s.id != noID {
+		n := &t.nodes[s.id]
+		if n.endNS >= 0 {
+			return
+		}
+		n.endNS = end
+		if work != nil {
+			n.work = *work
+			n.hasWork = true
+		}
+	}
+	d := end - s.startNS
+	if s.under >= 0 {
+		t.phases[s.under].ns -= d
+	}
+	switch {
+	case s.phase >= 0:
+		p := &t.phases[s.phase]
+		if p.count == 0 {
+			p.lane = s.worker
+		} else if p.lane != s.worker {
+			p.parallel = true
+		}
+		p.ns += d
+		p.count++
+	case s.phase == overPhase:
+		t.phasesDropped++
+	}
+}
+
+// Dropped reports how many spans the tree bounds discarded from the
+// arena (spatialseq_spans_dropped_total). Their time is still in the
+// phase table.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
@@ -236,4 +303,15 @@ func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
+}
+
+// PhasesDropped reports how many spans ended under a name past the
+// phase table's bound (spatialseq_trace_phases_dropped_total).
+func (t *Tracer) PhasesDropped() int64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.phasesDropped
 }

@@ -75,87 +75,30 @@ func (t *Tracer) Snapshot() *Tree {
 	return tree
 }
 
-// PhaseTimings derives the flat per-phase aggregate from the span tree:
-// leaf spans grouped by name in first-recorded order, durations summed.
-// This keeps the include_stats phase surface stable while fixing the
-// documented obs.Trace caveat — when same-named leaves overlap in time
-// (parallel workers), the phase is marked Parallel instead of letting
-// the sum silently exceed the query's wall time. Returns nil when no
-// spans were recorded, or when the tree bounds dropped any (their time
-// would be missing from the sums), so callers can fall back to a flat
-// obs.Trace.
+// PhaseTimings returns the flat per-phase aggregate in first-opened
+// order: each name's ended spans with their self time (duration minus
+// child spans' durations) summed, whether or not the tree kept them as
+// nodes, so the totals are exact at any tree size. Roots are not
+// phases. A phase recorded on more than one worker lane is marked
+// Parallel: its duration then sums time across workers and may exceed
+// the query's wall time. Returns nil when no phase was recorded.
 func (t *Tracer) PhaseTimings() []obs.PhaseTiming {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.nodes) == 0 || t.dropped > 0 {
-		return nil
-	}
-	now := int64(time.Since(t.epoch))
-	// A name is a container when any span carrying it has children: an
-	// idle worker lane (no subspaces pulled) must not surface as a phase
-	// just because its siblings got all the work.
-	hasChild := make([]bool, len(t.nodes))
-	for _, n := range t.nodes {
-		if n.parent >= 0 {
-			hasChild[n.parent] = true
+	var out []obs.PhaseTiming
+	for _, p := range t.phases {
+		if p.count == 0 {
+			continue // opened, never ended
 		}
-	}
-	container := make(map[string]bool)
-	for i, n := range t.nodes {
-		if hasChild[i] {
-			container[n.name] = true
-		}
-	}
-	type interval struct{ start, end int64 }
-	type agg struct {
-		name      string
-		total     int64
-		count     int64
-		intervals []interval
-	}
-	var order []*agg
-	index := make(map[string]*agg)
-	for i, n := range t.nodes {
-		if hasChild[i] || container[n.name] {
-			continue // containers (search root, worker lanes) are not phases
-		}
-		end := n.endNS
-		if end < 0 {
-			end = now
-		}
-		a := index[n.name]
-		if a == nil {
-			a = &agg{name: n.name}
-			index[n.name] = a
-			order = append(order, a)
-		}
-		a.total += end - n.startNS
-		a.count++
-		a.intervals = append(a.intervals, interval{n.startNS, end})
-	}
-	out := make([]obs.PhaseTiming, len(order))
-	for i, a := range order {
-		sort.Slice(a.intervals, func(x, y int) bool { return a.intervals[x].start < a.intervals[y].start })
-		parallel := false
-		maxEnd := int64(0)
-		for j, iv := range a.intervals {
-			if j > 0 && iv.start < maxEnd {
-				parallel = true
-				break
-			}
-			if iv.end > maxEnd {
-				maxEnd = iv.end
-			}
-		}
-		out[i] = obs.PhaseTiming{
-			Name:       a.name,
-			DurationMS: float64(a.total) / float64(time.Millisecond),
-			Count:      a.count,
-			Parallel:   parallel,
-		}
+		out = append(out, obs.PhaseTiming{
+			Name:       p.name,
+			DurationMS: float64(p.ns) / float64(time.Millisecond),
+			Count:      p.count,
+			Parallel:   p.parallel,
+		})
 	}
 	return out
 }

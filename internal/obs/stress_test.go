@@ -72,32 +72,3 @@ func TestRegistryConcurrentObserveAndRender(t *testing.T) {
 		t.Errorf("in-flight gauge = %g after balanced inc/dec", got)
 	}
 }
-
-// TestTraceConcurrentAdd exercises one Trace from parallel workers, the
-// shape of HSP/LORA's parallel subspace search.
-func TestTraceConcurrentAdd(t *testing.T) {
-	tr := NewTrace()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				tr.Add("dfs", time.Microsecond)
-				sp := tr.Start(fmt.Sprintf("phase%d", w%4))
-				sp.End()
-				_ = tr.Snapshot()
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, p := range tr.Snapshot() {
-		if p.Name == "dfs" {
-			if p.Count != 8000 {
-				t.Errorf("dfs count = %d, want 8000", p.Count)
-			}
-			return
-		}
-	}
-	t.Error("dfs phase missing from snapshot")
-}

@@ -176,7 +176,7 @@ func NewWith(eng *core.Engine, cfg Config) *Server {
 	s.work = cfg.Metrics.Counter("spatialseq_search_work_total",
 		"Cumulative engine work counters, by stats.Snapshot field.", "counter")
 	s.phasesDropped = cfg.Metrics.Counter("spatialseq_trace_phases_dropped_total",
-		"Phase-trace additions discarded by the per-query phase bound (obs.Trace overflow).").With()
+		"Spans ended under a phase name past the span tracer's per-query bound of 64 names.").With()
 	s.spansDropped = cfg.Metrics.Counter("spatialseq_spans_dropped_total",
 		"Spans discarded by the per-query span-tree bounds (node count or depth).").With()
 	s.imbalance = cfg.Metrics.Histogram("spatialseq_subspace_imbalance_ratio",
@@ -337,10 +337,11 @@ type ResultTuple struct {
 type SearchStats struct {
 	// Work is the engine's per-search counter snapshot.
 	Work stats.Snapshot `json:"work"`
-	// Phases is the wall time spent per search phase, derived from the
-	// span tree: phases whose spans overlapped across parallel workers
-	// carry parallel=true (their durations sum CPU time, not wall
-	// time); unmarked phases are disjoint wall-clock slices.
+	// Phases is the wall time spent per search phase, from the span
+	// tracer's exact per-phase table: phases recorded on more than one
+	// worker lane carry parallel=true (their durations sum time across
+	// workers, not wall time); unmarked phases are disjoint wall-clock
+	// slices.
 	Phases []obs.PhaseTiming `json:"phases"`
 	// Skew is the per-query imbalance attribution from the span tree;
 	// absent when the query recorded no worker spans.
@@ -447,11 +448,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.Timeout)
 	defer cancel()
-	// A trace and a span tracer are always attached so flight-recorder
-	// records carry the phase breakdown and slow queries retain their
-	// span tree; on cache hits the engine never runs and both stay
-	// empty.
-	opt := core.Options{CollectStats: true, Trace: obs.NewTrace(), Spans: span.NewTracer()}
+	// A span tracer is always attached so flight-recorder records carry
+	// the phase breakdown and slow queries retain their span tree; on
+	// cache hits the engine never runs and it stays empty.
+	opt := core.Options{CollectStats: true, Spans: span.NewTracer()}
 	var (
 		res    *core.Result
 		cached bool
@@ -464,7 +464,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		res, cached, err = s.cache.Search(ctx, s.searcher, q, algo, opt)
 	}
-	s.phasesDropped.Add(float64(opt.Trace.Dropped()))
+	s.phasesDropped.Add(float64(opt.Spans.PhasesDropped()))
 	s.spansDropped.Add(float64(opt.Spans.Dropped()))
 	if err != nil {
 		status := http.StatusBadRequest
@@ -489,6 +489,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	default:
 		w.Header().Set("X-Cache", "miss")
 	}
+	var skew *span.SkewReport
 	if !cached {
 		// The engine actually ran: record latency and work. Cache hits
 		// are excluded so the histogram measures search cost, not map
@@ -497,9 +498,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		res.Stats.Each(func(name string, value int64) {
 			s.work.With(name).Add(float64(value))
 		})
-		if sk := opt.Spans.Skew(); sk != nil {
-			s.imbalance.With(res.Algorithm.String()).Observe(sk.ImbalanceRatio)
-			s.critPath.With(res.Algorithm.String()).Observe(sk.CriticalPathMS / 1e3)
+		// Skew copies the whole arena, so it is computed once, for the
+		// histograms and include_stats alike.
+		if skew = opt.Spans.Skew(); skew != nil {
+			s.imbalance.With(res.Algorithm.String()).Observe(skew.ImbalanceRatio)
+			s.critPath.With(res.Algorithm.String()).Observe(skew.CriticalPathMS / 1e3)
 		}
 	} else {
 		// The engine emits flight records for its own runs; cache hits
@@ -516,15 +519,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := s.buildResponse(q, res)
 	if req.IncludeStats {
-		phases := opt.Trace.Snapshot()
-		// Span-derived timings supersede the flat trace: same phase
-		// names, with cross-worker overlap marked parallel instead of
-		// silently summed past wall time. A tree truncated by its
-		// bounds yields none and the flat trace stands.
-		if p := opt.Spans.PhaseTimings(); p != nil {
-			phases = p
-		}
-		resp.Stats = &SearchStats{Work: res.Stats, Phases: phases, Skew: opt.Spans.Skew()}
+		resp.Stats = &SearchStats{Work: res.Stats, Phases: opt.Spans.PhaseTimings(), Skew: skew}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

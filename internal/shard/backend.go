@@ -6,7 +6,6 @@ import (
 
 	"spatialseq/internal/core"
 	"spatialseq/internal/geo"
-	"spatialseq/internal/obs"
 	"spatialseq/internal/obs/span"
 	"spatialseq/internal/query"
 	"spatialseq/internal/stats"
@@ -79,7 +78,6 @@ func (b *Local) Search(ctx context.Context, req *Request) (*Response, error) {
 	opt.LORA.Parallelism = b.par
 	if req.CollectSpans {
 		opt.Spans = span.NewTracer()
-		opt.Trace = obs.NewTrace()
 	}
 	if req.Exchange != nil {
 		sink := NewSink(q.Params.K, req.Exchange)

@@ -178,12 +178,10 @@ func (c *Coordinator) BusyByShard() []time.Duration {
 // truncated merge would silently drop answers.
 func (c *Coordinator) Search(ctx context.Context, q *query.Query, algo core.Algorithm, opt core.Options) (*core.Result, error) {
 	start := time.Now()
-	sp := opt.Trace.Start("validate")
 	root := opt.Spans.Root("scatter")
 	vsp := root.Child("validate")
 	verr := q.Validate(c.ds)
 	vsp.End()
-	sp.End()
 	if verr != nil {
 		root.End()
 		return nil, verr
@@ -202,7 +200,6 @@ func (c *Coordinator) Search(ctx context.Context, q *query.Query, algo core.Algo
 	resps := make([]*Response, len(legs))
 	errs := make([]error, len(legs))
 	var wg sync.WaitGroup
-	sp = opt.Trace.Start("shard.scatter")
 	for i := range legs {
 		wg.Add(1)
 		go func(i int) {
@@ -228,13 +225,11 @@ func (c *Coordinator) Search(ctx context.Context, q *query.Query, algo core.Algo
 		}(i)
 	}
 	wg.Wait()
-	sp.End()
 	if err := firstError(ctx, errs); err != nil {
 		root.End()
 		return nil, err
 	}
 
-	sp = opt.Trace.Start("shard.merge")
 	msp := root.Child("shard.merge")
 	legTuples := make([][]core.ResultTuple, len(resps))
 	var agg stats.Snapshot
@@ -244,7 +239,6 @@ func (c *Coordinator) Search(ctx context.Context, q *query.Query, algo core.Algo
 	}
 	tuples := Merge(q.Params.K, legTuples)
 	msp.End()
-	sp.End()
 	root.End()
 	c.account(resps)
 

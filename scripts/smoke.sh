@@ -3,9 +3,10 @@
 #
 # Builds seqserver, starts it on an ephemeral port against a tiny
 # synthetic dataset, probes /healthz, /metrics, one /search, the flight
-# recorder's /debug/queries surface, and finally replays the recorder's
-# capture export through `seqbench -exp replay` (work counters must
-# match the recorded ones exactly). Fails on any non-200 answer.
+# recorder's /debug/queries surface, replays the recorder's capture
+# export through `seqbench -exp replay` (work counters must match the
+# recorded ones exactly), and finally checks the phases an
+# include_stats /search serves. Fails on any non-200 answer.
 # check.sh runs this as its last step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -209,4 +210,34 @@ grep -q '0 work-counter mismatches' "$workdir/replay.out" || {
     exit 1
 }
 
-echo "smoke test passed ($addr, replay verified)"
+# include_stats bypasses the query cache and serves this execution's
+# phase table: non-empty, and holding the engine's first and last phase.
+probe search-stats 200 -D "$workdir/headers" -X POST -H 'Content-Type: application/json' -d '{
+    "k": 2, "beta": 5, "include_stats": true,
+    "example": [
+        {"x": 10, "y": 10, "category": "gaode-cat-0000"},
+        {"x": 11, "y": 11, "category": "gaode-cat-0001"}
+    ]
+}' "http://$addr/search"
+tr -d '\r' <"$workdir/headers" | grep -qi '^x-cache: bypass$' || {
+    echo "smoke: include_stats /search was not X-Cache: bypass" >&2
+    cat "$workdir/headers" >&2
+    exit 1
+}
+phases=$(grep -o '"phases":\[[^]]*\]' "$workdir/body" || true)
+case "$phases" in
+'"phases":[{'*) ;;
+*)
+    echo "smoke: include_stats response carries no stats.phases" >&2
+    cat "$workdir/body" >&2
+    exit 1
+    ;;
+esac
+for name in validate topk.merge; do
+    grep -q "\"name\":\"$name\"" <<<"$phases" || {
+        echo "smoke: stats.phases misses $name: $phases" >&2
+        exit 1
+    }
+done
+
+echo "smoke test passed ($addr, replay verified, phases served)"
