@@ -196,8 +196,8 @@ func TestJSONRecordsPipeline(t *testing.T) {
 		if r.Completed > 0 && (r.Latency.P99MS <= 0 || r.Latency.MaxMS < r.Latency.P50MS) {
 			t.Errorf("record %s: implausible latency %+v", r, r.Latency)
 		}
-		if len(r.Work) != 13 {
-			t.Errorf("record %s: work map has %d counters, want all 13", r, len(r.Work))
+		if len(r.Work) != 14 {
+			t.Errorf("record %s: work map has %d counters, want all 14", r, len(r.Work))
 		}
 	}
 	for _, prof := range []string{"cpu.table2-gaode", "mem.table2-gaode"} {

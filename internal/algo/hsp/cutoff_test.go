@@ -64,7 +64,7 @@ func (s *searcher) dfsPerCandidate(dim int, attrSum float64) (tailUsed int) {
 // place of dfs, over the same prepared subspaces.
 func searchPerCandidate(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Options) ([]topk.Entry, stats.Snapshot, int) {
 	tailUsed := 0
-	res, work := searchSequential(t, ds, q, opt, false,
+	res, work, _ := searchSequential(t, ds, q, opt,
 		func(s *searcher, p *prepState, ss *partition.Subspace) bool {
 			skip, err := s.prepareInto(p, ds, q, ss)
 			return err != nil || skip

@@ -13,6 +13,10 @@
 //  3. the refined spatial bound of Eq. 9 combined with Eq. 5 (tighter
 //     wins), plus unconditional pruning of prefixes whose partial distance
 //     norm already exceeds beta*||V_t*||.
+//
+// Before it gathers any subspace, HSP bounds each one from the eager
+// attribute memo and visits them best-first, stopping at the first whose
+// bound cannot beat the k-th result (simil.Context.OrderByBound).
 package hsp
 
 import (
@@ -42,7 +46,9 @@ type Options struct {
 	// A1 ablation benchmark isolating the partitioning gain).
 	DisablePartition bool
 	// LooseBounds falls back to DFS-Prune's bounds inside the subspace
-	// search (A4 ablation isolating the refined-bound gain).
+	// search and visits every subspace in index order, with no subspace
+	// bound or stop: the A4 ablation, which therefore measures the
+	// refined bounds and the best-first stop together.
 	LooseBounds bool
 	// Parallelism spreads the search over this many goroutines sharing
 	// one concurrent top-k (exactness is unaffected: a stale pruning
@@ -72,8 +78,9 @@ type Options struct {
 	// candidates, pruned prefixes, scored tuples).
 	Stats *stats.Stats
 	// Span, when live, is the parent span the search nests its
-	// hierarchical timeline under: one "hsp.candidates" unit span per
-	// subspace prep and one "hsp.dfs" unit span per enumerated chunk,
+	// hierarchical timeline under: "hsp.partition", "hsp.simprep" and
+	// "hsp.bound" children for the plan, then one "hsp.candidates" unit
+	// span per subspace prep and one "hsp.dfs" unit span per enumerated chunk,
 	// each tagged with both its worker lane and owning subspace and
 	// carrying that unit's work-counter delta. Sequential searches run
 	// every unit on lane 0, one chunk per searched subspace. The zero
@@ -88,53 +95,9 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 		return nil, err
 	}
 	sctx := simil.NewContext(ds, q)
-	radius := sctx.PartitionRadius()
-	if opt.DisablePartition {
-		// Ablation flag: one subspace covering everything stays exact.
-		radius = math.Inf(1)
-	}
-	psp := opt.Span.Child("hsp.partition")
-	part, err := ix.PartitionBucketed(radius)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// If dimension 0 is pinned, only the subspace owning that point's core
-	// can produce results (Lemma 1 discipline).
-	fixed0 := q.Example.FixedDim(0)
-	work := make([]*partition.Subspace, 0, len(part.Subspaces))
-	for si := range part.Subspaces {
-		ss := &part.Subspaces[si]
-		if fixed0 >= 0 && !ss.Core.Contains(ds.Loc(int(fixed0))) {
-			continue
-		}
-		if opt.Own != nil && !opt.Own(ss.Core) {
-			continue
-		}
-		work = append(work, ss)
-	}
-
 	workers := opt.Parallelism
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	// Workers are deliberately not capped at len(work): chunked stealing
-	// lets several workers share one subspace's DFS root level, so even a
-	// single-subspace query (DisablePartition, or a pinned dim 0)
-	// parallelizes.
-	// With more than one subspace the overlapping ac-regions revisit the
-	// same (dimension, object) pairs, so memoize the attribute cosines:
-	// lazily on the sequential path, eagerly (read-only, worker-safe) when
-	// subspaces run in parallel. A single subspace has no reuse to win.
-	if len(work) > 1 {
-		ssp := opt.Span.Child("hsp.simprep")
-		if workers > 1 {
-			opt.Stats.AddAttrSimMemoMisses(sctx.PrepareMemoShared())
-		} else {
-			sctx.EnableMemo()
-		}
-		ssp.End()
 	}
 	var sink topk.ResultSink
 	switch {
@@ -145,20 +108,42 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	default:
 		sink = topk.New(q.Params.K)
 	}
-	err = sched.Run(len(work), workers, hspMinChunk, opt.Steal, func() sched.Worker[prepState] {
+	work, bounds, err := plan(sctx, ix, opt)
+	if err != nil {
+		return nil, err
+	}
+	// Workers are deliberately not capped at len(work): chunked stealing
+	// lets several workers share one subspace's DFS root level, so even a
+	// single-subspace query (DisablePartition, or a pinned dim 0)
+	// parallelizes.
+	cut, err := sched.Run(len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, workers, hspMinChunk, opt.Steal, func() sched.Worker[prepState] {
 		return newSearcher(ctx, sctx, sink, q, work, opt)
 	})
 	if err != nil {
 		return nil, err
 	}
-	// The lazy memo's counters; a shared memo leaves them at zero.
-	h, mi := sctx.MemoCounters()
-	opt.Stats.AddAttrSimMemoHits(h)
-	opt.Stats.AddAttrSimMemoMisses(mi)
+	opt.Stats.AddSubspacesBounded(int64(cut))
 	msp := opt.Span.Child("topk.merge")
 	res := sink.Results()
 	msp.End()
 	return res, nil
+}
+
+// planPhases names HSP's plan spans.
+var planPhases = simil.PlanPhases{Partition: "hsp.partition", Memo: "hsp.simprep", Bound: "hsp.bound"}
+
+// plan returns the subspaces the search visits, in visiting order, with
+// the bounds that stop it (simil.Context.Plan). DisablePartition plans
+// one subspace covering everything, which stays exact (A1). LooseBounds
+// keeps index order with no bounds and no stop, so the A4 ablation
+// measures DFS-Prune's bounds over every subspace.
+func plan(sctx *simil.Context, ix *partition.Index, opt Options) ([]*partition.Subspace, []float64, error) {
+	radius := sctx.PartitionRadius()
+	if opt.DisablePartition {
+		radius = math.Inf(1)
+	}
+	return sctx.Plan(ix, simil.PlanSpec{Radius: radius, Ordered: !opt.LooseBounds, Own: opt.Own,
+		Phases: planPhases, Span: opt.Span, Stats: opt.Stats})
 }
 
 func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, work []*partition.Subspace, opt Options) *searcher {
@@ -173,10 +158,7 @@ func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *qu
 		scratch: sctx.NewScratch(),
 		loose:   opt.LooseBounds,
 		repeats: sameCategoryBefore(sctx.Ex),
-		// With a shared (eagerly filled) memo the Context counts nothing;
-		// each worker tallies its own hits in the local batch instead.
-		countHits: sctx.MemoShared(),
-		st:        opt.Stats,
+		st:      opt.Stats,
 	}
 }
 
@@ -186,27 +168,31 @@ func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *qu
 // unit span carries the subspace-level work delta (candidate volume,
 // skip marks, memo hits); enumeration counters land on Chunk's spans.
 func (s *searcher) Prep(p *prepState, w, sub int) (int, error) {
-	s.local = localCounters{}
 	sp := s.span.Unit("hsp.candidates", w, sub)
 	skip, err := s.prepareInto(p, s.sctx.DS, s.q, s.work[sub])
-	s.st.AddAttrSimMemoHits(s.local.memoHits)
+	// Every similarity a prep reads comes from the memo when there is one.
+	var hits int64
+	if s.sctx.MemoShared() {
+		hits = p.scored
+	}
+	s.st.AddAttrSimMemoHits(hits)
 	if err != nil {
 		sp.End()
 		return 0, err
 	}
 	if skip {
 		s.st.AddSubspacesSkipped(1)
-		sp.EndWork(stats.Snapshot{SubspacesSkipped: 1, AttrSimMemoHits: s.local.memoHits})
+		sp.EndWork(stats.Snapshot{SubspacesSkipped: 1, AttrSimMemoHits: hits})
 		return 0, nil
 	}
 	s.st.AddSubspaces(1)
-	s.st.AddCandidates(p.candTotal)
-	s.st.RaiseSubspaceCandidates(p.candTotal)
+	s.st.AddCandidates(p.scored)
+	s.st.RaiseSubspaceCandidates(p.scored)
 	sp.EndWork(stats.Snapshot{
 		Subspaces:             1,
-		Candidates:            p.candTotal,
-		AttrSimMemoHits:       s.local.memoHits,
-		SubspaceCandidatesMax: p.candTotal,
+		Candidates:            p.scored,
+		AttrSimMemoHits:       hits,
+		SubspaceCandidatesMax: p.scored,
 	})
 	return len(p.cands[0]), nil
 }
@@ -232,35 +218,35 @@ func (s *searcher) Chunk(p *prepState, w, sub, lo, hi int) error {
 	return err
 }
 
-// localCounters batch the per-subspace statistics so the DFS hot loop
+// localCounters batch the per-chunk statistics so the DFS hot loop
 // touches plain ints, not atomics.
 type localCounters struct {
-	pruned, tuples, offered, memoHits int64
+	pruned, tuples, offered int64
 }
 
 // prepState is one subspace's prepared search state: the per-dimension
-// candidate lists and Eq. 6 suffix maxima. sched.Run pools prep states,
-// hands each from the preparing worker to the chunk workers (read-only
-// during enumeration), and recycles it when the subspace's last chunk
-// finishes.
+// candidate lists and Eq. 6 suffix maxima, and how many candidates the
+// prep scored (a skipped subspace's lists up to the empty one).
+// sched.Run pools prep states, hands each from the preparing worker to
+// the chunk workers (read-only during enumeration), and recycles it
+// when the subspace's last chunk finishes.
 type prepState struct {
 	cands      [][]simil.Cand
 	rbarSuffix []float64
-	candTotal  int64
+	scored     int64
 }
 
 type searcher struct {
-	ctx       context.Context
-	sctx      *simil.Context
-	heap      topk.Sink
-	q         *query.Query
-	work      []*partition.Subspace
-	span      span.Span
-	tuple     []int32
-	scratch   *simil.Scratch
-	batch     simil.BatchScratch
-	loose     bool
-	countHits bool
+	ctx     context.Context
+	sctx    *simil.Context
+	heap    topk.Sink
+	q       *query.Query
+	work    []*partition.Subspace
+	span    span.Span
+	tuple   []int32
+	scratch *simil.Scratch
+	batch   simil.BatchScratch
+	loose   bool
 	// repeats[dim] is how many earlier tuple objects dim's candidate
 	// list holds (see sameCategoryBefore).
 	repeats []int
@@ -294,7 +280,7 @@ func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query
 		p.cands = make([][]simil.Cand, m)
 		p.rbarSuffix = make([]float64, m+1)
 	}
-	p.candTotal = 0
+	p.scored = 0
 	for d := 0; d < m; d++ {
 		region, source := ss.AC, ss.ACPoints
 		if d == 0 {
@@ -305,12 +291,10 @@ func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query
 				return true, nil
 			}
 			p.cands[d] = append(p.cands[d][:0], simil.Cand{Pos: fixed, Sim: c.AttrSim(d, fixed)})
-			if s.countHits {
-				s.local.memoHits++
-			}
-			continue
+		} else {
+			p.cands[d] = c.RegionCandidatesInto(p.cands[d][:0], d, region, source, &s.batch)
 		}
-		p.cands[d] = s.candidatesInto(d, region, source, p.cands[d][:0])
+		p.scored += int64(len(p.cands[d]))
 		if len(p.cands[d]) == 0 {
 			return true, nil
 		}
@@ -325,21 +309,8 @@ func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query
 		best := p.cands[d][0].Sim
 		s.sortHead(p.cands[d], d, prefix, p.rbarSuffix)
 		prefix += best
-		p.candTotal += int64(len(p.cands[d]))
 	}
 	return false, nil
-}
-
-// candidatesInto wraps simil.Context.RegionCandidatesInto with the
-// per-worker buffer reuse and, on the shared-memo path, the hit
-// accounting (every AttrSim against a complete read-only table is a
-// hit).
-func (s *searcher) candidatesInto(dim int, region geo.Rect, positions []int32, dst []simil.Cand) []simil.Cand {
-	dst = s.sctx.RegionCandidatesInto(dst, dim, region, positions, &s.batch)
-	if s.countHits {
-		s.local.memoHits += int64(len(dst))
-	}
-	return dst
 }
 
 // sortHead moves to the front of dim's list, and sorts, the candidates

@@ -2,14 +2,14 @@ package hsp
 
 import (
 	"context"
+	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"spatialseq/internal/algo/sched"
 	"spatialseq/internal/dataset"
-	"spatialseq/internal/geo"
+	"spatialseq/internal/obs/span"
 	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/simil"
@@ -18,54 +18,79 @@ import (
 	"spatialseq/internal/topk"
 )
 
-// searchSequential is Search's sequential driver with prep and enum in
-// place of prepareInto and the DFS over a prepared subspace. shared
-// fills the memo eagerly, as the stealing path does. It returns the
-// answers and every counter Search reports.
-func searchSequential(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Options, shared bool,
-	prep func(*searcher, *prepState, *partition.Subspace) (skip bool), enum func(*searcher)) ([]topk.Entry, stats.Snapshot) {
+// searchSequential is Search's sequential run, with the same plan
+// (memo, order and stop), and with prep and enum in place of
+// prepareInto and the DFS over a prepared subspace. It returns the
+// answers, every counter Search reports, and each planned subspace's
+// prep delta: after the run it also prepares the subspaces the stop
+// cut, for the table only.
+func searchSequential(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Options,
+	prep func(*searcher, *prepState, *partition.Subspace) (skip bool), enum func(*searcher)) ([]topk.Entry, stats.Snapshot, testutil.PrepReference) {
 	t.Helper()
 	sctx := simil.NewContext(ds, q)
-	radius := sctx.PartitionRadius()
-	if opt.DisablePartition {
-		radius = math.Inf(1)
-	}
-	part, err := buildIndex(ds).PartitionBucketed(radius)
+	opt.Stats = &stats.Stats{}
+	work, bounds, err := plan(sctx, buildIndex(ds), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var work []*partition.Subspace
-	for si := range part.Subspaces {
-		if ss := &part.Subspaces[si]; q.Example.FixedDim(0) < 0 || ss.Core.Contains(ds.Loc(int(q.Example.FixedDim(0)))) {
-			work = append(work, ss)
-		}
-	}
-	var snap stats.Snapshot
-	if len(work) > 1 {
-		if shared {
-			snap.AttrSimMemoMisses = sctx.PrepareMemoShared()
-		} else {
-			sctx.EnableMemo()
-		}
-	}
+	ref := testutil.PrepReference{Plan: opt.Stats.Snapshot(), Subs: make([]stats.Snapshot, len(work))}
 	heap := topk.New(q.Params.K)
-	s, p := newSearcher(context.Background(), sctx, heap, q, nil, opt), new(prepState)
-	for _, ss := range work {
-		if prep(s, p, ss) {
-			snap.SubspacesSkipped++
-			continue
-		}
-		snap.Subspaces++
-		snap.Candidates += p.candTotal
-		snap.SubspaceCandidatesMax = max(snap.SubspaceCandidatesMax, p.candTotal)
-		s.attach(p)
-		enum(s)
+	w := &refWorker{s: newSearcher(context.Background(), sctx, heap, q, nil, opt), work: work, prep: prep, enum: enum, subs: ref.Subs}
+	cut, err := sched.Run(len(work), sched.Bounds{Of: bounds, Accept: heap.WouldAccept}, 1, hspMinChunk, sched.Tuning{},
+		func() sched.Worker[prepState] { return w })
+	if err != nil {
+		t.Fatal(err)
 	}
-	hits, misses := sctx.MemoCounters()
-	snap.AttrSimMemoHits = hits + s.local.memoHits
-	snap.AttrSimMemoMisses += misses
-	snap.PrunedPrefixes, snap.Tuples, snap.Offered = s.local.pruned, s.local.tuples, s.local.offered
-	return heap.Results(), snap
+	ref.Prepared = len(work) - cut
+	snap := ref.Plan
+	for _, d := range ref.Subs[:ref.Prepared] {
+		snap = snap.Add(d)
+	}
+	snap.SubspacesBounded = int64(cut)
+	snap.PrunedPrefixes, snap.Tuples, snap.Offered = w.s.local.pruned, w.s.local.tuples, w.s.local.offered
+	p := new(prepState)
+	for sub := ref.Prepared; sub < len(work); sub++ {
+		if _, err := w.Prep(p, 0, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return heap.Results(), snap, ref
+}
+
+// refWorker runs a reference search's prep and enum as a sched.Worker
+// and records each subspace's prep delta as Search's "hsp.candidates"
+// span carries it: every similarity a prep reads is a memo hit when the
+// plan filled the memo.
+type refWorker struct {
+	s    *searcher
+	work []*partition.Subspace
+	prep func(*searcher, *prepState, *partition.Subspace) (skip bool)
+	enum func(*searcher)
+	subs []stats.Snapshot
+}
+
+func (w *refWorker) Prep(p *prepState, _, sub int) (int, error) {
+	skip := w.prep(w.s, p, w.work[sub])
+	var d stats.Snapshot
+	if w.s.sctx.MemoShared() {
+		d.AttrSimMemoHits = p.scored
+	}
+	if skip {
+		d.SubspacesSkipped = 1
+		w.subs[sub] = d
+		return 0, nil
+	}
+	d.Subspaces, d.Candidates, d.SubspaceCandidatesMax = 1, p.scored, p.scored
+	w.subs[sub] = d
+	return len(p.cands[0]), nil
+}
+
+// Chunk enumerates all of a prepared subspace: a sequential run has one
+// chunk per subspace.
+func (w *refWorker) Chunk(p *prepState, _, _, _, _ int) error {
+	w.s.attach(p)
+	w.enum(w.s)
+	return nil
 }
 
 // prepareFullSort is the prep HSP ran before the region gather and
@@ -77,7 +102,7 @@ func (s *searcher) prepareFullSort(p *prepState, ds *dataset.Dataset, q *query.Q
 		p.cands = make([][]simil.Cand, c.M)
 		p.rbarSuffix = make([]float64, c.M+1)
 	}
-	p.candTotal = 0
+	p.scored = 0
 	for d := 0; d < c.M; d++ {
 		region, source := ss.AC, ss.ACPoints
 		if d == 0 {
@@ -91,13 +116,10 @@ func (s *searcher) prepareFullSort(p *prepState, ds *dataset.Dataset, q *query.Q
 		} else {
 			p.cands[d] = c.CandidatesBatchInto(p.cands[d][:0], d, source, &s.batch)
 		}
-		if s.countHits {
-			s.local.memoHits += int64(len(p.cands[d]))
-		}
+		p.scored += int64(len(p.cands[d]))
 		if len(p.cands[d]) == 0 {
 			return true
 		}
-		p.candTotal += int64(len(p.cands[d]))
 	}
 	p.rbarSuffix[c.M] = 0
 	for d := c.M - 1; d >= 0; d-- {
@@ -116,8 +138,8 @@ func runDFS(t *testing.T) func(*searcher) {
 }
 
 // searchFullSort is the sequential search over full-sort prepared lists.
-func searchFullSort(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Options, shared bool) ([]topk.Entry, stats.Snapshot) {
-	return searchSequential(t, ds, q, opt, shared,
+func searchFullSort(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Options) ([]topk.Entry, stats.Snapshot, testutil.PrepReference) {
+	return searchSequential(t, ds, q, opt,
 		func(s *searcher, p *prepState, ss *partition.Subspace) bool { return s.prepareFullSort(p, ds, q, ss) },
 		runDFS(t))
 }
@@ -160,41 +182,10 @@ func (pr *headProbe) inspect(s *searcher, p *prepState, q *query.Query) {
 	}
 }
 
-// tieDataset puts n objects of two categories on a coarse integer grid,
-// each with one of three attribute vectors, so sims tie in long runs.
-func tieDataset(rng *rand.Rand, n int) *dataset.Dataset {
-	vecs := [][]float64{{1, 0.2}, {0.6, 0.8}, {0.3, 0.9}}
-	b := &dataset.Builder{}
-	cats := []dataset.CategoryID{b.Category("a"), b.Category("b")}
-	for i := 0; i < n; i++ {
-		b.Add(dataset.Object{ID: int64(i), Category: cats[rng.Intn(2)], Attr: vecs[rng.Intn(3)],
-			Loc: geo.Point{X: float64(rng.Intn(25)), Y: float64(rng.Intn(25))}})
-	}
-	ds, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return ds
-}
-
-// prepCases are testutil.EnumerationQueries plus tie-heavy queries whose
-// first and last dimensions share a category.
+// prepCases are testutil.EnumerationQueries plus the tie-grid queries,
+// whose first and last dimensions share a category.
 func prepCases() []testutil.ShapedQuery {
-	cases := testutil.EnumerationQueries()
-	for i := 0; i < 12; i++ {
-		rng := rand.New(rand.NewSource(int64(900 + i)))
-		ds := tieDataset(rng, 400)
-		q := testutil.RandQuery(rng, ds, 3, 8, query.Params{K: 1 + i%6, Alpha: 0.5, Beta: 1.5 + float64(i%3)})
-		q.Example.Categories[2] = q.Example.Categories[0]
-		if i%4 == 3 {
-			testutil.PinDims(rng, ds, q, 1)
-		}
-		if err := q.Validate(ds); err != nil {
-			panic(err)
-		}
-		cases = append(cases, testutil.ShapedQuery{Shape: "tie-grid", Name: "tie-grid/" + string(rune('a'+i)), DS: ds, Q: q})
-	}
-	return cases
+	return append(testutil.EnumerationQueries(), testutil.TieGridQueries()...)
 }
 
 // TestPrepMatchesFullSort holds the sequential search to the full-sort
@@ -207,16 +198,20 @@ func TestPrepMatchesFullSort(t *testing.T) {
 	var probe headProbe
 	for _, c := range prepCases() {
 		for _, opt := range []Options{{}, {LooseBounds: true}, {DisablePartition: true}} {
-			want, wantWork := searchFullSort(t, c.DS, c.Q, opt, false)
+			want, wantWork, _ := searchFullSort(t, c.DS, c.Q, opt)
 			opt.Stats = &stats.Stats{}
 			got, err := Search(context.Background(), c.DS, buildIndex(c.DS), c.Q, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", c.Name, err)
 			}
-			if work := opt.Stats.Snapshot(); !reflect.DeepEqual(got, want) || work != wantWork {
+			work := opt.Stats.Snapshot()
+			if !reflect.DeepEqual(got, want) || work != wantWork {
 				t.Errorf("%s %+v: answers %v, counters %+v; full-sort prep %v, %+v", c.Name, opt, got, work, want, wantWork)
 			}
-			searchSequential(t, c.DS, c.Q, opt, false,
+			if n := subspaceCount(t, c.DS, c.Q, opt); subspaceTotal(work) != n {
+				t.Errorf("%s %+v: %d subspaces searched, skipped or bounded, of %d", c.Name, opt, subspaceTotal(work), n)
+			}
+			searchSequential(t, c.DS, c.Q, opt,
 				func(s *searcher, p *prepState, ss *partition.Subspace) bool {
 					skip, err := s.prepareInto(p, c.DS, c.Q, ss)
 					if err != nil {
@@ -237,25 +232,51 @@ func TestPrepMatchesFullSort(t *testing.T) {
 }
 
 // TestStealPrepMatchesFullSort: the stealing path preps while other
-// workers raise the threshold, so its enumeration counters depend on the
-// schedule, but its answers and the prep counters must equal the
-// full-sort prep's, at chunk size 1 and at the auto size.
+// workers raise the threshold, so how far down the plan order it
+// prepares before the stop, and its enumeration counters, depend on the
+// schedule. Its answers must equal the full-sort prep's, each subspace
+// it prepares must carry the full-sort prep's counters exactly, it must
+// prepare at least the subspaces the sequential run did, and its prep
+// counters must be the plan's plus those preps' (testutil.CheckPreps),
+// at chunk size 1 and at the auto size.
 func TestStealPrepMatchesFullSort(t *testing.T) {
 	for _, c := range prepCases() {
-		want, wantWork := searchFullSort(t, c.DS, c.Q, Options{}, true)
-		wantWork.PrunedPrefixes, wantWork.Tuples, wantWork.Offered = 0, 0, 0
+		want, _, ref := searchFullSort(t, c.DS, c.Q, Options{})
 		for _, chunk := range []int{1, 0} {
-			st := &stats.Stats{}
+			st, tr := &stats.Stats{}, span.NewTracerLimits(1<<20, 0)
 			got, err := Search(context.Background(), c.DS, buildIndex(c.DS), c.Q,
-				Options{Parallelism: 2, Steal: sched.Tuning{ChunkSize: chunk}, Stats: st})
+				Options{Parallelism: 2, Steal: sched.Tuning{ChunkSize: chunk}, Stats: st, Span: tr.Root("search")})
 			if err != nil {
 				t.Fatalf("%s: %v", c.Name, err)
 			}
-			work := st.Snapshot()
-			work.PrunedPrefixes, work.Tuples, work.Offered = 0, 0, 0
-			if !reflect.DeepEqual(got, want) || work != wantWork {
-				t.Errorf("%s chunk %d: answers %v, counters %+v; full-sort prep %v, %+v", c.Name, chunk, got, work, want, wantWork)
+			label := fmt.Sprintf("%s chunk %d", c.Name, chunk)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: answers %v; full-sort prep %v", label, got, want)
 			}
+			testutil.CheckPreps(t, label, tr.Snapshot(), "hsp.candidates", st.Snapshot(), ref)
 		}
 	}
+}
+
+// subspaceCount counts the subspaces a search of q visits or cuts: the
+// partition's, or with dimension 0 pinned the one whose core holds it.
+func subspaceCount(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Options) int64 {
+	t.Helper()
+	radius := simil.NewContext(ds, q).PartitionRadius()
+	if opt.DisablePartition {
+		radius = math.Inf(1)
+	}
+	part, err := buildIndex(ds).PartitionBucketed(radius)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Example.FixedDim(0) >= 0 {
+		return 1
+	}
+	return int64(len(part.Subspaces))
+}
+
+// subspaceTotal counts every subspace a search visited or cut.
+func subspaceTotal(s stats.Snapshot) int64 {
+	return s.Subspaces + s.SubspacesSkipped + s.SubspacesBounded
 }

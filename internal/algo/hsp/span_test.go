@@ -74,6 +74,10 @@ func checkSpanTimeline(t *testing.T, ds *dataset.Dataset, ix *partition.Index, q
 				t.Errorf("sequential %s span for subspace %d after subspace %d", n.Name, n.Subspace, lastSub)
 			}
 			lastSub = n.Subspace
+		case "hsp.bound":
+			// The subspaces the bound finds infeasible are skipped here,
+			// without a prep.
+			workSkipped += n.Work.SubspacesSkipped
 		case "search", "hsp.partition", "hsp.simprep", "topk.merge":
 		default:
 			t.Errorf("unexpected %q span", n.Name)
@@ -114,9 +118,8 @@ func checkSpanTimeline(t *testing.T, ds *dataset.Dataset, ix *partition.Index, q
 	if workCand != snap.Candidates {
 		t.Errorf("prep candidate deltas sum to %d, counters say %d", workCand, snap.Candidates)
 	}
-	// A parallel search's shared memo counts hits per unit; a sequential
-	// search's lazy memo counts them in the Context, outside any span.
-	if par > 1 && workHits != snap.AttrSimMemoHits {
+	// The memo counts its hits per unit.
+	if workHits != snap.AttrSimMemoHits {
 		t.Errorf("prep memo-hit deltas sum to %d, counters say %d", workHits, snap.AttrSimMemoHits)
 	}
 	if snap.SubspaceCandidatesMax != maxCand {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"spatialseq/internal/algo/sched"
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/query"
 	"spatialseq/internal/simil"
@@ -40,25 +41,39 @@ func (s *searcher) cellDFSPerCandidate(dim int, scoreSum float64) error {
 	return nil
 }
 
+// perCandidateWorker is the searcher with cellDFSPerCandidate in place
+// of cellDFS. Its counters stay in the searcher's batch.
+type perCandidateWorker struct{ *searcher }
+
+func (w perCandidateWorker) Prep(p *prepState, _, sub int) (int, error) {
+	skip, err := w.prepareInto(p, w.work[sub])
+	if err != nil || skip {
+		return 0, err
+	}
+	return len(p.cellLists[0]), nil
+}
+
+// Chunk enumerates all of a prepared subspace: a sequential run has one
+// chunk per subspace.
+func (w perCandidateWorker) Chunk(p *prepState, _, _, _, _ int) error {
+	w.attach(p)
+	return w.cellDFSPerCandidate(0, 0)
+}
+
 // searchPerCandidate is the sequential search with cellDFSPerCandidate
-// in place of cellDFS, over the same prepared subspaces.
+// in place of cellDFS, with the same plan (memo, order and stop) and
+// over the same prepared subspaces.
 func searchPerCandidate(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Options) ([]topk.Entry, stats.Snapshot) {
 	sctx := simil.NewContext(ds, q)
-	part, err := buildIndex(ds).PartitionBucketed(sctx.PartitionRadius())
+	work, bounds, err := plan(sctx, buildIndex(ds), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	heap := topk.New(q.Params.K)
-	s, p := newSearcher(context.Background(), sctx, heap, q, nil, opt), new(prepState)
-	for i := range part.Subspaces {
-		skip, err := s.prepareInto(p, &part.Subspaces[i])
-		if err == nil && !skip {
-			s.attach(p)
-			err = s.cellDFSPerCandidate(0, 0)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	s := newSearcher(context.Background(), sctx, heap, q, work, opt)
+	if _, err := sched.Run(len(work), sched.Bounds{Of: bounds, Accept: heap.WouldAccept}, 1, 1, sched.Tuning{},
+		func() sched.Worker[prepState] { return perCandidateWorker{s} }); err != nil {
+		t.Fatal(err)
 	}
 	return heap.Results(), stats.Snapshot{Tuples: s.local.tuples, Offered: s.local.offered,
 		CellTuples: s.local.cellTuples, PrunedCellPrefixes: s.local.prunedCells, RankPops: s.local.pops}

@@ -18,7 +18,10 @@
 //     (per-subspace top-k sufficiency, observation 2).
 //
 // Like HSP, dimension-0 candidates are restricted to the core subspace so
-// no tuple is generated twice across subspaces.
+// no tuple is generated twice across subspaces, and the subspaces are
+// bounded from the eager attribute memo before any is bucketed and
+// visited best-first, stopping at the first whose bound cannot beat the
+// k-th result (simil.Context.OrderByBound).
 package lora
 
 import (
@@ -75,8 +78,9 @@ type Options struct {
 	// cell tuples, rank-graph pops, sampling discards).
 	Stats *stats.Stats
 	// Span, when live, is the parent span the search nests its
-	// hierarchical timeline under: one "lora.sample" unit span per
-	// subspace prep and one "lora.enum" unit span per enumerated chunk,
+	// hierarchical timeline under: "lora.partition", "lora.simprep" and
+	// "lora.bound" children for the plan, then one "lora.sample" unit
+	// span per subspace prep and one "lora.enum" unit span per enumerated chunk,
 	// each tagged with both its worker lane and owning subspace and
 	// carrying that unit's work-counter delta. Each point enumeration
 	// is a "lora.points" Tally of its chunk's span: timed apart from
@@ -92,44 +96,9 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 		return nil, err
 	}
 	sctx := simil.NewContext(ds, q)
-	radius := sctx.PartitionRadius()
-	psp := opt.Span.Child("lora.partition")
-	part, err := ix.PartitionBucketed(radius)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	fixed0 := q.Example.FixedDim(0)
-	work := make([]*partition.Subspace, 0, len(part.Subspaces))
-	for si := range part.Subspaces {
-		ss := &part.Subspaces[si]
-		if fixed0 >= 0 && !ss.Core.Contains(ds.Loc(int(fixed0))) {
-			continue
-		}
-		if opt.Own != nil && !opt.Own(ss.Core) {
-			continue
-		}
-		work = append(work, ss)
-	}
-
 	workers := opt.Parallelism
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	// Workers are deliberately not capped at len(work): chunked stealing
-	// lets several workers share one subspace's root cell list.
-	// Overlapping ac-subspaces re-bucket the same (dimension, object)
-	// pairs; memoize the attribute cosines across them — lazily when
-	// sequential, eagerly (read-only) when subspace workers share the
-	// Context. One subspace means no reuse, so skip the table.
-	if len(work) > 1 {
-		ssp := opt.Span.Child("lora.simprep")
-		if workers > 1 {
-			opt.Stats.AddAttrSimMemoMisses(sctx.PrepareMemoShared())
-		} else {
-			sctx.EnableMemo()
-		}
-		ssp.End()
 	}
 	var sink topk.ResultSink
 	switch {
@@ -140,20 +109,35 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	default:
 		sink = topk.New(q.Params.K)
 	}
-	err = sched.Run(len(work), workers, 1, opt.Steal, func() sched.Worker[prepState] {
+	work, bounds, err := plan(sctx, ix, opt)
+	if err != nil {
+		return nil, err
+	}
+	// Workers are deliberately not capped at len(work): chunked stealing
+	// lets several workers share one subspace's root cell list.
+	cut, err := sched.Run(len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, workers, 1, opt.Steal, func() sched.Worker[prepState] {
 		return newSearcher(ctx, sctx, sink, q, work, opt)
 	})
 	if err != nil {
 		return nil, err
 	}
-	// The lazy memo's counters; a shared memo leaves them at zero.
-	h, mi := sctx.MemoCounters()
-	opt.Stats.AddAttrSimMemoHits(h)
-	opt.Stats.AddAttrSimMemoMisses(mi)
+	opt.Stats.AddSubspacesBounded(int64(cut))
 	msp := opt.Span.Child("topk.merge")
 	res := sink.Results()
 	msp.End()
 	return res, nil
+}
+
+// planPhases names LORA's plan spans.
+var planPhases = simil.PlanPhases{Partition: "lora.partition", Memo: "lora.simprep", Bound: "lora.bound"}
+
+// plan returns the subspaces the search visits, best-first, with the
+// bounds that stop it (simil.Context.Plan). Every cut LORA makes is a
+// bound on the sampled space and its k-valid-pops rule is per cell
+// tuple, so the order does not change its answers.
+func plan(sctx *simil.Context, ix *partition.Index, opt Options) ([]*partition.Subspace, []float64, error) {
+	return sctx.Plan(ix, simil.PlanSpec{Radius: sctx.PartitionRadius(), Ordered: true, Own: opt.Own,
+		Phases: planPhases, Span: opt.Span, Stats: opt.Stats})
 }
 
 func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, work []*partition.Subspace, opt Options) *searcher {
@@ -172,28 +156,28 @@ func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *qu
 		dimGroup[d] = gi
 	}
 	return &searcher{
-		ctx:  ctx,
-		sctx: sctx,
-		heap: sink,
-		q:    q,
-		work: work,
-		opt:  opt,
-		// With a shared (eagerly filled) memo the Context counts nothing;
-		// each worker tallies its own hits in the local batch instead.
-		countHits: sctx.MemoShared(),
-		st:        opt.Stats,
-		tuple:     make([]int32, sctx.M),
-		asims:     make([]float64, sctx.M),
-		dist:      make([]float64, 0, sctx.Pairs),
-		groups:    groups,
-		dimGroup:  dimGroup,
+		ctx:      ctx,
+		sctx:     sctx,
+		heap:     sink,
+		q:        q,
+		work:     work,
+		opt:      opt,
+		st:       opt.Stats,
+		tuple:    make([]int32, sctx.M),
+		asims:    make([]float64, sctx.M),
+		dist:     make([]float64, 0, sctx.Pairs),
+		groups:   groups,
+		dimGroup: dimGroup,
 	}
 }
 
 // localCounters batch per-subspace statistics so hot loops touch plain
 // ints, not atomics.
 type localCounters struct {
-	candidates, sampledOut, cellTuples, prunedCells, pops, tuples, offered, memoHits int64
+	candidates, sampledOut, cellTuples, prunedCells, pops, tuples, offered int64
+	// scored counts the similarities a prep read: its candidates and
+	// its pinned objects.
+	scored int64
 }
 
 func (s *searcher) flushStats() {
@@ -204,9 +188,18 @@ func (s *searcher) flushStats() {
 	s.st.AddRankPops(s.local.pops)
 	s.st.AddTuples(s.local.tuples)
 	s.st.AddOffered(s.local.offered)
-	s.st.AddAttrSimMemoHits(s.local.memoHits)
+	s.st.AddAttrSimMemoHits(s.memoHits())
 	s.st.RaiseSubspaceCandidates(s.local.candidates)
 	s.local = localCounters{}
+}
+
+// memoHits is how many of the similarities the batch read came from the
+// memo: all of them when there is one.
+func (s *searcher) memoHits() int64 {
+	if s.sctx.MemoShared() {
+		return s.local.scored
+	}
+	return 0
 }
 
 // localDelta converts the current counter batch into a plain work
@@ -221,7 +214,7 @@ func (s *searcher) localDelta() stats.Snapshot {
 		RankPops:           s.local.pops,
 		Tuples:             s.local.tuples,
 		Offered:            s.local.offered,
-		AttrSimMemoHits:    s.local.memoHits,
+		AttrSimMemoHits:    s.memoHits(),
 	}
 }
 
@@ -253,16 +246,15 @@ type prepState struct {
 }
 
 type searcher struct {
-	ctx       context.Context
-	sctx      *simil.Context
-	heap      topk.Sink
-	q         *query.Query
-	work      []*partition.Subspace
-	opt       Options
-	countHits bool
-	st        *stats.Stats
-	local     localCounters
-	steps     int
+	ctx   context.Context
+	sctx  *simil.Context
+	heap  topk.Sink
+	q     *query.Query
+	work  []*partition.Subspace
+	opt   Options
+	st    *stats.Stats
+	local localCounters
+	steps int
 	// chunk is the current Chunk's "lora.enum" span, the parent of each
 	// point enumeration's "lora.points" tally.
 	chunk span.Span
@@ -429,9 +421,7 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 				return true, nil // subspace cannot host the pinned object
 			}
 			cell := g.Cell(loc)
-			if s.countHits {
-				s.local.memoHits++
-			}
+			s.local.scored++
 			p.buckets[d][cell] = append(p.buckets[d][cell], simil.Cand{Pos: fixed, Sim: c.AttrSim(d, fixed)})
 			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: p.buckets[d][cell][0].Sim})
 			continue
@@ -458,9 +448,7 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 		// first. Same candidate order, sims and counters as the scalar
 		// loop.
 		s.local.candidates += int64(len(pos))
-		if s.countHits {
-			s.local.memoHits += int64(len(pos))
-		}
+		s.local.scored += int64(len(pos))
 		if cap(s.simBuf) < len(pos) {
 			s.simBuf = make([]float64, len(pos))
 		}

@@ -2,6 +2,7 @@ package lora
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
 	"spatialseq/internal/grid"
+	"spatialseq/internal/obs/span"
 	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/simil"
@@ -56,9 +58,7 @@ func (s *searcher) prepareFullSort(p *prepState, ss *partition.Subspace) (skip b
 				return true, nil
 			}
 			cell := g.Cell(loc)
-			if s.countHits {
-				s.local.memoHits++
-			}
+			s.local.scored++
 			p.buckets[d][cell] = append(p.buckets[d][cell], simil.Cand{Pos: fixed, Sim: c.AttrSim(d, fixed)})
 			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: p.buckets[d][cell][0].Sim})
 			continue
@@ -74,9 +74,7 @@ func (s *searcher) prepareFullSort(p *prepState, ss *partition.Subspace) (skip b
 			}
 		}
 		s.local.candidates += int64(len(pos))
-		if s.countHits {
-			s.local.memoHits += int64(len(pos))
-		}
+		s.local.scored += int64(len(pos))
 		sims := make([]float64, len(pos))
 		c.AttrSimBatch(d, pos, sims)
 		for i, ps := range pos {
@@ -116,60 +114,68 @@ func (s *searcher) prepareFullSort(p *prepState, ss *partition.Subspace) (skip b
 }
 
 // fullSortWorker is the searcher with prepareFullSort in Prep's place.
-type fullSortWorker struct{ *searcher }
+// It records each subspace's prep delta in subs as Search's
+// "lora.sample" span carries it: every similarity a prep reads is a
+// memo hit when the plan filled the memo.
+type fullSortWorker struct {
+	*searcher
+	subs []stats.Snapshot
+}
 
 func (w fullSortWorker) Prep(p *prepState, _, sub int) (int, error) {
 	skip, err := w.prepareFullSort(p, w.work[sub])
 	if err != nil {
 		return 0, err
 	}
+	d := stats.Snapshot{Candidates: w.local.candidates, SampledOut: w.local.sampledOut, SubspaceCandidatesMax: w.local.candidates}
+	if w.sctx.MemoShared() {
+		d.AttrSimMemoHits = w.local.scored
+	}
 	if skip {
+		d.SubspacesSkipped = 1
 		w.st.AddSubspacesSkipped(1)
-		w.flushStats()
+	} else {
+		d.Subspaces = 1
+		w.st.AddSubspaces(1)
+	}
+	w.subs[sub] = d
+	w.flushStats()
+	if skip {
 		return 0, nil
 	}
-	w.st.AddSubspaces(1)
-	w.flushStats()
 	return len(p.cellLists[0]), nil
 }
 
-// searchFullSort is Search with prepareFullSort as every worker's prep.
-func searchFullSort(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Options) ([]topk.Entry, stats.Snapshot) {
+// searchFullSort is Search with prepareFullSort as the prep, on one
+// worker. It returns the answers, every counter Search reports, and
+// each planned subspace's prep delta: after the run it also prepares
+// the subspaces the stop cut, for the table only.
+func searchFullSort(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Options) ([]topk.Entry, stats.Snapshot, testutil.PrepReference) {
 	t.Helper()
 	sctx := simil.NewContext(ds, q)
-	part, err := buildIndex(ds).PartitionBucketed(sctx.PartitionRadius())
+	opt.Stats = &stats.Stats{}
+	work, bounds, err := plan(sctx, buildIndex(ds), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var work []*partition.Subspace
-	for si := range part.Subspaces {
-		if ss := &part.Subspaces[si]; q.Example.FixedDim(0) < 0 || ss.Core.Contains(ds.Loc(int(q.Example.FixedDim(0)))) {
-			work = append(work, ss)
-		}
-	}
-	st := &stats.Stats{}
-	opt.Stats = st
-	var sink topk.ResultSink = topk.New(q.Params.K)
-	if opt.Parallelism > 1 {
-		sink = topk.NewConcurrent(q.Params.K)
-	}
-	if len(work) > 1 {
-		if opt.Parallelism > 1 {
-			st.AddAttrSimMemoMisses(sctx.PrepareMemoShared())
-		} else {
-			sctx.EnableMemo()
-		}
-	}
-	err = sched.Run(len(work), opt.Parallelism, 1, opt.Steal, func() sched.Worker[prepState] {
-		return fullSortWorker{newSearcher(context.Background(), sctx, sink, q, work, opt)}
-	})
+	ref := testutil.PrepReference{Plan: opt.Stats.Snapshot(), Subs: make([]stats.Snapshot, len(work))}
+	sink := topk.New(q.Params.K)
+	w := fullSortWorker{newSearcher(context.Background(), sctx, sink, q, work, opt), ref.Subs}
+	cut, err := sched.Run(len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, 1, 1, sched.Tuning{},
+		func() sched.Worker[prepState] { return w })
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := sctx.MemoCounters()
-	st.AddAttrSimMemoHits(hits)
-	st.AddAttrSimMemoMisses(misses)
-	return sink.Results(), st.Snapshot()
+	opt.Stats.AddSubspacesBounded(int64(cut))
+	res, snap := sink.Results(), opt.Stats.Snapshot()
+	ref.Prepared = len(work) - cut
+	p := new(prepState)
+	for sub := ref.Prepared; sub < len(work); sub++ {
+		if _, err := w.Prep(p, 0, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return res, snap, ref
 }
 
 // prepProbe counts what the reachable-only sampling must survive:
@@ -275,40 +281,43 @@ func rareDataset(rng *rand.Rand, n int) *dataset.Dataset {
 	return ds
 }
 
-// scheduleFree zeroes the counters a parallel run's schedule moves: the
-// enumeration work, which depends on when other workers raise the
-// shared threshold.
-func scheduleFree(s stats.Snapshot) stats.Snapshot {
-	s.CellTuples, s.PrunedCellPrefixes, s.RankPops, s.Tuples, s.Offered = 0, 0, 0, 0, 0
-	return s
-}
-
 // TestPrepMatchesFullSort holds Search to the per-dimension gather and
 // full-sort sampling that the one-pass gather and reachable-only
-// selection replaced: bit-identical answers and every stats.Snapshot
-// field, memo counters included, sequentially under the paper's LORA,
-// PruneCellNorm and RandomSample; at Parallelism 2, answers and the
-// counters no schedule moves. The probe shows the cases reach what the
-// change must survive: unreachable buckets larger than xi, reachable
-// ones cut by selection, and subspaces skipped after a scored dimension.
+// selection replaced, sequentially under the paper's LORA,
+// PruneCellNorm and RandomSample, and at Parallelism 2: bit-identical
+// answers, and each prepared subspace's counters exactly
+// (testutil.CheckPreps). Sequentially every stats.Snapshot field, memo
+// counters included, must match too; at Parallelism 2 how far down the
+// plan order the run prepares before the stop, and the enumeration
+// counters, depend on the schedule. The probe shows the cases reach
+// what the change must survive: unreachable buckets larger than xi,
+// reachable ones cut by selection, and subspaces skipped after a scored
+// dimension.
 func TestPrepMatchesFullSort(t *testing.T) {
 	var probe prepProbe
 	for _, c := range prepCases() {
 		for _, opt := range []Options{{}, {PruneCellNorm: true}, {RandomSample: true, RandomSeed: 7},
 			{Parallelism: 2}, {Parallelism: 2, Steal: sched.Tuning{ChunkSize: 1}}} {
-			want, wantWork := searchFullSort(t, c.DS, c.Q, opt)
-			opt.Stats = &stats.Stats{}
+			seq := opt
+			seq.Parallelism, seq.Steal = 0, sched.Tuning{}
+			want, wantWork, ref := searchFullSort(t, c.DS, c.Q, seq)
+			st, tr := &stats.Stats{}, span.NewTracerLimits(1<<20, 0)
+			opt.Stats, opt.Span = st, tr.Root("search")
 			got, err := Search(context.Background(), c.DS, buildIndex(c.DS), c.Q, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", c.Name, err)
 			}
-			work := opt.Stats.Snapshot()
+			label := fmt.Sprintf("%s %+v", c.Name, seq)
 			if opt.Parallelism > 1 {
-				work, wantWork = scheduleFree(work), scheduleFree(wantWork)
+				label = fmt.Sprintf("%s parallel chunk %d", c.Name, opt.Steal.ChunkSize)
 			}
-			if !reflect.DeepEqual(got, want) || work != wantWork {
-				t.Errorf("%s %+v: answers %v, counters %+v; full-sort prep %v, %+v", c.Name, opt, got, work, want, wantWork)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: answers %v; full-sort prep %v", label, got, want)
 			}
+			if work := st.Snapshot(); opt.Parallelism <= 1 && work != wantWork {
+				t.Errorf("%s: counters %+v; full-sort prep %+v", label, work, wantWork)
+			}
+			testutil.CheckPreps(t, label, tr.Snapshot(), "lora.sample", st.Snapshot(), ref)
 		}
 		probe.run(t, c)
 	}

@@ -7,7 +7,7 @@ import "sync"
 // prepared it to the workers that enumerate its chunks.
 type Worker[P any] interface {
 	// Prep prepares subspace sub into p on worker lane w and returns its
-	// root count; 0 skips the subspace. Run calls it exactly once per
+	// root count; 0 skips the subspace. Run calls it at most once per
 	// subspace. p may hold an earlier subspace's state to reuse.
 	Prep(p *P, w, sub int) (roots int, err error)
 	// Chunk enumerates the roots [lo, hi) of subspace sub, prepared in
@@ -16,11 +16,32 @@ type Worker[P any] interface {
 	Chunk(p *P, w, sub, lo, hi int) error
 }
 
-// Run prepares each of the subspaces 0..numSub-1 exactly once and
-// enumerates every root of each prepared subspace exactly once, on the
-// given number of workers, each with its own Worker from newWorker. The
-// first error aborts the run; Run returns it once every worker has
-// exited. minChunk floors the auto-sized chunks (see Tuning.ChunkSize).
+// Bounds lets Run stop before the subspaces that cannot contribute.
+// Of[sub] is an upper bound on the similarity of every tuple subspace
+// sub holds, non-increasing in sub (the caller orders its subspaces
+// best-first). Accept reports whether the results could still take a
+// tuple of a given similarity; once it rejects a value it must reject
+// it for the rest of the run, as a top-k threshold that never falls
+// does. The zero Bounds never stops.
+type Bounds struct {
+	Of     []float64
+	Accept func(float64) bool
+}
+
+// stops reports whether Run stops at subspace sub: its bound, and by
+// the order every later subspace's, is one the results cannot take.
+func (b Bounds) stops(sub int) bool {
+	return b.Of != nil && !b.Accept(b.Of[sub])
+}
+
+// Run prepares each of the subspaces 0..numSub-1 at most once, in
+// index order, and enumerates every root of each prepared subspace
+// exactly once, on the given number of workers, each with its own
+// Worker from newWorker. It stops issuing preps at the first subspace
+// whose bound b rejects and returns how many subspaces it cut there:
+// they get no prep, no chunk and no scheduler round trip. The first
+// error aborts the run; Run returns it once every worker has exited.
+// minChunk floors the auto-sized chunks (see Tuning.ChunkSize).
 //
 // At one worker (or fewer) Run loops on the caller's goroutine instead:
 // it prepares the subspaces in order, reusing one prepared state, and
@@ -28,21 +49,25 @@ type Worker[P any] interface {
 // A lone worker has nobody to steal from, and the Scheduler's lock
 // round-trips per unit measured about 10% slower on sequential HSP
 // queries with tens of thousands of subspaces.
-func Run[P any](numSub, workers, minChunk int, tun Tuning, newWorker func() Worker[P]) error {
+func Run[P any](numSub int, b Bounds, workers, minChunk int, tun Tuning, newWorker func() Worker[P]) (cut int, err error) {
 	if workers <= 1 {
 		wk, p := newWorker(), new(P)
 		for sub := 0; sub < numSub; sub++ {
+			if b.stops(sub) {
+				return numSub - sub, nil
+			}
 			n, err := wk.Prep(p, 0, sub)
 			if err == nil && n > 0 {
 				err = wk.Chunk(p, 0, sub, 0, n)
 			}
 			if err != nil {
-				return err
+				return 0, err
 			}
 		}
-		return nil
+		return 0, nil
 	}
 	r := &run[P]{sch: New(numSub, workers, minChunk, tun), preps: make([]*P, numSub)}
+	r.sch.bounds = b
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -55,7 +80,7 @@ func Run[P any](numSub, workers, minChunk int, tun Tuning, newWorker func() Work
 		}(w)
 	}
 	wg.Wait()
-	return r.err
+	return r.sch.cut, r.err
 }
 
 // run is the shared state of one parallel Run: the scheduler, the

@@ -14,10 +14,12 @@
 // subspaces off an atomic counter, which made a Zipf head subspace
 // indivisible: one worker lane dragged ~66% of the candidate work while
 // the others idled (the EXPERIMENTS.md S1 baseline). Workers acquire
-// units in a loop — first a prep unit per subspace (run exactly once per
+// units in a loop — first a prep unit per subspace (run at most once per
 // subspace, so the Lemma-1 discipline holds), then enumeration chunks of
 // the prepared subspace's roots, sized by root count so a fat
-// subspace's root level is shared across every idle worker.
+// subspace's root level is shared across every idle worker. Preps are
+// issued in subspace order; a run with Bounds stops issuing them at the
+// first subspace whose bound the results can no longer take.
 //
 // Exactness is unaffected by steal order: the concurrent top-k's
 // deterministic tie-break is order-independent, and a stale pruning
@@ -72,6 +74,10 @@ type Scheduler struct {
 	qhead    int
 	pending  []int // unacquired+unfinished chunks per subspace
 	aborted  bool
+	// bounds stops the preps (see Bounds); cut counts the subspaces
+	// left unprepared when it did.
+	bounds Bounds
+	cut    int
 }
 
 // New returns a scheduler over numSub subspaces for the given worker
@@ -105,6 +111,10 @@ func (s *Scheduler) Acquire() (u Unit, ok bool) {
 			u = s.queue[s.qhead]
 			s.qhead++
 			return u, true
+		}
+		if s.nextSub < s.numSub && s.bounds.stops(s.nextSub) {
+			s.cut = s.numSub - s.nextSub
+			s.nextSub = s.numSub
 		}
 		if s.nextSub < s.numSub {
 			u = Unit{Sub: s.nextSub, Prep: true}

@@ -327,7 +327,8 @@ func (f *fakeRun) Chunk(p *fakeState, w, sub, lo, hi int) error {
 }
 
 func (f *fakeRun) run(workers int, tun Tuning) error {
-	return Run(len(f.sizes), workers, 1, tun, func() Worker[fakeState] { return f })
+	_, err := Run(len(f.sizes), Bounds{}, workers, 1, tun, func() Worker[fakeState] { return f })
+	return err
 }
 
 // TestRun drives Run over skewed subspace sizes (under -race): every
@@ -381,4 +382,51 @@ func TestRun(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunStopsAtFirstRejectedBound: with Bounds, Run prepares subspaces
+// in index order until the first bound Accept rejects, prepares none
+// from there on, enumerates what it prepared in full, and returns how
+// many subspaces it cut, at one worker and at eight. Equal bounds past
+// the stop are cut too.
+func TestRunStopsAtFirstRejectedBound(t *testing.T) {
+	sizes := skewedSizes(50)
+	bounds := make([]float64, len(sizes))
+	for i := range bounds {
+		bounds[i] = float64(len(sizes) - i/2) // non-increasing, in equal pairs
+	}
+	for _, workers := range []int{1, 8} {
+		for _, limit := range []float64{100, 45, 1} {
+			f := newFakeRun(t, sizes, -1, -1)
+			b := Bounds{Of: bounds, Accept: func(v float64) bool { return v >= limit }}
+			cut, err := Run(len(sizes), b, workers, 1, Tuning{ChunkSize: 3}, func() Worker[fakeState] { return f })
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			for want < len(sizes) && bounds[want] >= limit {
+				want++
+			}
+			if cut != len(sizes)-want {
+				t.Errorf("workers %d limit %v: cut %d, want %d", workers, limit, cut, len(sizes)-want)
+			}
+			for sub, n := range sizes {
+				if prepped := sub < want; f.prepped[sub] != btoi(prepped) {
+					t.Errorf("workers %d limit %v: subspace %d prepared %d times", workers, limit, sub, f.prepped[sub])
+				}
+				for i := 0; i < n; i++ {
+					if f.covered[sub][i] != btoi(sub < want) {
+						t.Errorf("workers %d limit %v: subspace %d root %d covered %d times", workers, limit, sub, i, f.covered[sub][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -32,7 +32,11 @@ import (
 // changes meaning; benchdiff refuses to compare across versions.
 // Version 2: the work map gained subspace_candidates_max (a max-semantics
 // skew signal that WorkTotal excludes).
-const SchemaVersion = 2
+// Version 3: the work map gained subspaces_bounded (subspaces the
+// best-first stop never prepared), and attr_sim_memo_hits/_misses count
+// the eager memo on the sequential path too (misses: every cosine the
+// eager fill computes; hits: every similarity a prep reads).
+const SchemaVersion = 3
 
 // Env pins the provenance of a benchmark session: where it ran and with
 // which workload knobs. Two BENCH files are only meaningfully comparable

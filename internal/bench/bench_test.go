@@ -153,8 +153,8 @@ func TestLatencyOf(t *testing.T) {
 
 func TestWorkMapCoversEveryCounter(t *testing.T) {
 	m := WorkMap(stats.Snapshot{})
-	if len(m) != 13 {
-		t.Errorf("WorkMap has %d keys, want 13 (schema stability: zero counters stay present)", len(m))
+	if len(m) != 14 {
+		t.Errorf("WorkMap has %d keys, want 14 (schema stability: zero counters stay present)", len(m))
 	}
 	if _, ok := m["candidates"]; !ok {
 		t.Error("WorkMap missing candidates")

@@ -123,6 +123,12 @@ type Result struct {
 	// Stats holds the per-search counters when Options.CollectStats was
 	// set (zero otherwise).
 	Stats stats.Snapshot
+	// Skew is the span tree's imbalance report when Options.Spans was
+	// set and the tree holds worker spans (nil otherwise). The engine
+	// computes it once, after the clock stops, for its flight record and
+	// for the server's histograms and include_stats alike: each
+	// computation copies the whole span arena.
+	Skew *span.SkewReport
 }
 
 // Searcher is the engine-shaped query surface: anything that validates a
@@ -216,9 +222,9 @@ func (e *Engine) Search(ctx context.Context, q *query.Query, algo Algorithm, opt
 		Pins:      int32(len(q.Example.Fixed)),
 		K:         int32(q.Params.K),
 		Phases:    opt.Spans.PhaseTimings(),
-		Skew:      opt.Spans.Skew(),
 	}
 	if err == nil {
+		rec.Skew = res.Skew
 		rec.LatencyNS = int64(res.Elapsed)
 		rec.Algorithm = res.Algorithm.String()
 		rec.Outcome = flight.OutcomeOK
@@ -236,6 +242,7 @@ func (e *Engine) Search(ctx context.Context, q *query.Query, algo Algorithm, opt
 			rec.Spans = opt.Spans.Snapshot()
 		}
 	} else {
+		rec.Skew = opt.Spans.Skew()
 		rec.LatencyNS = int64(time.Since(start))
 		rec.Algorithm = algo.String()
 		if ctx.Err() != nil {
@@ -333,7 +340,7 @@ func (e *Engine) search(ctx context.Context, q *query.Query, algo Algorithm, opt
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Algorithm: algo, Elapsed: time.Since(start), Stats: st.Snapshot()}
+	res := &Result{Algorithm: algo, Elapsed: time.Since(start), Stats: st.Snapshot(), Skew: opt.Spans.Skew()}
 	res.Tuples = make([]ResultTuple, len(entries))
 	for i, en := range entries {
 		res.Tuples[i] = ResultTuple{Positions: en.Tuple, Sim: en.Sim}

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
+
+	"spatialseq/internal/simil"
 )
 
 func TestCollectStats(t *testing.T) {
@@ -54,27 +57,40 @@ func TestStatsDisabledByDefault(t *testing.T) {
 	}
 }
 
+// TestStatsParallelConsistency: the best-first stop makes which
+// subspaces get searched, and so the subspace and candidate totals,
+// depend on when other workers raise the threshold. What holds by
+// construction at every worker count is that each of the partition's
+// subspaces is searched, skipped or bounded exactly once, and that the
+// answers are the same.
 func TestStatsParallelConsistency(t *testing.T) {
 	eng, q := setup(t, 500)
 	ctx := context.Background()
-
-	seqQ := *q
-	seqRes, err := eng.Search(ctx, &seqQ, HSP, Options{CollectStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parQ := *q
-	opt := Options{CollectStats: true}
-	opt.HSP.Parallelism = 4
-	parRes, err := eng.Search(ctx, &parQ, HSP, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Subspace and candidate totals are schedule-independent.
-	if seqRes.Stats.Subspaces != parRes.Stats.Subspaces {
-		t.Errorf("subspace counts differ: %d vs %d", seqRes.Stats.Subspaces, parRes.Stats.Subspaces)
-	}
-	if seqRes.Stats.Candidates != parRes.Stats.Candidates {
-		t.Errorf("candidate counts differ: %d vs %d", seqRes.Stats.Candidates, parRes.Stats.Candidates)
+	var want []ResultTuple
+	for _, workers := range []int{1, 4} {
+		qq := *q
+		opt := Options{CollectStats: true}
+		opt.HSP.Parallelism = workers
+		res, err := eng.Search(ctx, &qq, HSP, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := eng.PartitionIndex().PartitionBucketed(simil.NewContext(eng.Dataset(), &qq).PartitionRadius())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if got := st.Subspaces + st.SubspacesSkipped + st.SubspacesBounded; got != int64(len(part.Subspaces)) {
+			t.Errorf("workers %d: %d searched + %d skipped + %d bounded subspaces, the partition has %d",
+				workers, st.Subspaces, st.SubspacesSkipped, st.SubspacesBounded, len(part.Subspaces))
+		}
+		if workers == 1 {
+			want = res.Tuples
+			if st.SubspacesBounded == 0 {
+				t.Errorf("no subspace bounded (%+v): the query does not exercise the stop", st)
+			}
+		} else if !reflect.DeepEqual(res.Tuples, want) {
+			t.Errorf("workers %d: answers %v, one worker %v", workers, res.Tuples, want)
+		}
 	}
 }

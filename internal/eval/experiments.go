@@ -496,7 +496,9 @@ func AblationPartition(ctx context.Context, w io.Writer, f Family, n int, cfg Co
 	return rp.flush(tw)
 }
 
-// AblationBounds isolates HSP's refined bounds (A4).
+// AblationBounds compares HSP with its LooseBounds variant (A4):
+// DFS-Prune's bounds inside each subspace, and every subspace visited in
+// index order with no subspace stop.
 func AblationBounds(ctx context.Context, w io.Writer, f Family, n int, cfg Config) error {
 	data, err := familyDataset(f, n, cfg.Seed)
 	if err != nil {

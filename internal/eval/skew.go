@@ -146,7 +146,7 @@ func runSkew(ctx context.Context, eng *core.Engine, queries []*query.Query, algo
 		if res.Stats.Candidates > 0 {
 			agg.maxSubShareSum += float64(res.Stats.SubspaceCandidatesMax) / float64(res.Stats.Candidates)
 		}
-		sk := tr.Skew()
+		sk := res.Skew
 		if sk == nil {
 			continue
 		}

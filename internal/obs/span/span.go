@@ -114,7 +114,7 @@ func NewTracerLimits(maxNodes, maxDepth int) *Tracer {
 		maxNodes: maxNodes,
 		maxDepth: maxDepth,
 		nodes:    make([]node, 0, capHint),
-		// Every search's phases fit: DFS-Prune has 4 names, HSP 6, LORA 7.
+		// Every search's phases fit: DFS-Prune has 4 names, HSP 7, LORA 8.
 		phases: make([]phase, 0, 8),
 	}
 }

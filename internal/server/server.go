@@ -489,7 +489,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	default:
 		w.Header().Set("X-Cache", "miss")
 	}
-	var skew *span.SkewReport
 	if !cached {
 		// The engine actually ran: record latency and work. Cache hits
 		// are excluded so the histogram measures search cost, not map
@@ -498,9 +497,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		res.Stats.Each(func(name string, value int64) {
 			s.work.With(name).Add(float64(value))
 		})
-		// Skew copies the whole arena, so it is computed once, for the
-		// histograms and include_stats alike.
-		if skew = opt.Spans.Skew(); skew != nil {
+		// The engine computed the skew once, for its flight record and
+		// for these histograms and include_stats alike.
+		if skew := res.Skew; skew != nil {
 			s.imbalance.With(res.Algorithm.String()).Observe(skew.ImbalanceRatio)
 			s.critPath.With(res.Algorithm.String()).Observe(skew.CriticalPathMS / 1e3)
 		}
@@ -519,7 +518,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := s.buildResponse(q, res)
 	if req.IncludeStats {
-		resp.Stats = &SearchStats{Work: res.Stats, Phases: opt.Spans.PhaseTimings(), Skew: skew}
+		resp.Stats = &SearchStats{Work: res.Stats, Phases: opt.Spans.PhaseTimings(), Skew: res.Skew}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

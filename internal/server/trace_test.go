@@ -168,3 +168,27 @@ func TestSkewInStatsAndMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestServedSkewMatchesFlightRecord: the engine computes a query's skew
+// report once, and the server's include_stats answer and the flight
+// record it retains carry that same report.
+func TestServedSkewMatchesFlightRecord(t *testing.T) {
+	ts, ds, rec := newFlightTestServer(t)
+	req := searchReq(ds)
+	req.IncludeStats = true
+	resp, body := postSearch(t, ts, req)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "bypass" {
+		t.Fatalf("search status = %d, X-Cache %q: %s", resp.StatusCode, resp.Header.Get("X-Cache"), body)
+	}
+	var sr SearchResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	recent := rec.Recent(1)
+	if len(recent) != 1 || recent[0].Skew == nil || sr.Stats == nil || sr.Stats.Skew == nil {
+		t.Fatalf("no skew to compare: records %+v, response %s", recent, body)
+	}
+	if *sr.Stats.Skew != *recent[0].Skew {
+		t.Errorf("include_stats skew %+v, flight record skew %+v", *sr.Stats.Skew, *recent[0].Skew)
+	}
+}

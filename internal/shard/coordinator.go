@@ -242,7 +242,7 @@ func (c *Coordinator) Search(ctx context.Context, q *query.Query, algo core.Algo
 	root.End()
 	c.account(resps)
 
-	res := &core.Result{Algorithm: resolved, Tuples: tuples, Elapsed: time.Since(start)}
+	res := &core.Result{Algorithm: resolved, Tuples: tuples, Elapsed: time.Since(start), Skew: opt.Spans.Skew()}
 	if opt.CollectStats {
 		res.Stats = agg
 	}

@@ -15,8 +15,10 @@ import (
 // the corners occupied so the data bounds are exactly that square. The
 // partitioner then cuts at integer midpoints and inflates cores by an
 // integer radius, so many points lie exactly on split lines and on
-// ac-band edges. Category c holds about weights[c] of the objects.
-func gridDataset(t *testing.T, rng *rand.Rand, n int, weights []float64) *dataset.Dataset {
+// ac-band edges. Category c holds about weights[c] of the objects. With
+// zeroEvery > 0, every zeroEvery-th object gets an all-zero attribute
+// vector.
+func gridDataset(t *testing.T, rng *rand.Rand, n int, weights []float64, zeroEvery int) *dataset.Dataset {
 	t.Helper()
 	b := &dataset.Builder{}
 	cats := make([]dataset.CategoryID, len(weights))
@@ -38,8 +40,11 @@ func gridDataset(t *testing.T, rng *rand.Rand, n int, weights []float64) *datase
 		if i < 4 {
 			loc = geo.Point{X: float64(64 * (i % 2)), Y: float64(64 * (i / 2))}
 		}
-		b.Add(dataset.Object{ID: int64(i), Loc: loc, Category: pick(),
-			Attr: []float64{rng.Float64(), rng.Float64(), rng.Float64()}})
+		attr := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		if zeroEvery > 0 && i%zeroEvery == 0 {
+			attr = []float64{0, 0, 0}
+		}
+		b.Add(dataset.Object{ID: int64(i), Loc: loc, Category: pick(), Attr: attr})
 	}
 	ds, err := b.Build()
 	if err != nil {
@@ -63,7 +68,7 @@ func onEdge(r geo.Rect, p geo.Point) bool {
 // and the R-tree's ACPoints.
 func TestRegionCandidatesMatchScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	ds := gridDataset(t, rng, 3000, []float64{0.9, 0.09, 0.01})
+	ds := gridDataset(t, rng, 3000, []float64{0.9, 0.09, 0.01}, 0)
 	ix := testutil.BuildIndex(ds)
 	q := &query.Query{Variant: query.CSEQ, Example: query.Example{
 		Categories: []dataset.CategoryID{2, 1, 0, 2},

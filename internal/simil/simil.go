@@ -245,10 +245,11 @@ func (c *Context) memoSize() int {
 // EnableMemo switches AttrSim to lazily memoized mode: the first lookup of
 // each (dimension, candidate) computes and stores the cosine, later
 // lookups are table reads. The table is NaN-initialised and must only be
-// filled from a single goroutine — parallel searches use PrepareMemoShared
-// instead. Worst-case memory is m x N float64s; the category-dense layout
-// shrinks that to the query's actual candidate universe
-// (sum over dimensions of the matching category's population).
+// filled from a single goroutine. HSP and LORA fill the memo eagerly
+// instead (PrepareMemoShared), at any worker count. Worst-case memory is
+// m x N float64s; the category-dense layout shrinks that to the query's
+// actual candidate universe (sum over dimensions of the matching
+// category's population).
 func (c *Context) EnableMemo() {
 	if c.memo != nil {
 		return
@@ -264,9 +265,10 @@ func (c *Context) EnableMemo() {
 // PrepareMemoShared eagerly fills the memo for every (dimension, matching
 // candidate) pair — dimensions pinned to a fixed object get only that
 // object's entry — and freezes it read-only, so concurrent subspace
-// workers can share the Context without racing. It returns how many
-// cosines were computed (the query's memo misses; every later AttrSim is a
-// hit). Calling it again is a no-op returning 0.
+// workers can share the Context without racing, and OrderByBound can
+// bound subspaces from it. It returns how many cosines were computed
+// (the query's memo misses; every later AttrSim is a hit). Calling it
+// again is a no-op returning 0.
 func (c *Context) PrepareMemoShared() int64 {
 	if c.memoShared {
 		return 0
@@ -292,8 +294,8 @@ func (c *Context) PrepareMemoShared() int64 {
 	return computed
 }
 
-// MemoShared reports whether the memo is in eager read-only mode (workers
-// then count their own hits; see MemoCounters).
+// MemoShared reports whether the memo is in eager read-only mode (its
+// users then count their own hits; see MemoCounters).
 func (c *Context) MemoShared() bool { return c.memoShared }
 
 // MemoCounters returns the lazy-mode hit/miss counts. In shared mode the

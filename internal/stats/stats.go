@@ -16,8 +16,12 @@ type Stats struct {
 	// Subspaces is the number of ac-subspaces searched (after skips).
 	Subspaces atomic.Int64
 	// SubspacesSkipped counts subspaces skipped before any enumeration
-	// (missing category, pinned point elsewhere).
+	// (missing category, pinned point elsewhere), whether the subspace
+	// bound or the prep found it.
 	SubspacesSkipped atomic.Int64
+	// SubspacesBounded counts subspaces never prepared because their
+	// bound could not beat the k-th result (the best-first stop).
+	SubspacesBounded atomic.Int64
 	// Candidates is the number of candidate points considered across all
 	// dimension lists.
 	Candidates atomic.Int64
@@ -45,8 +49,9 @@ type Stats struct {
 	// SubspaceCandidatesMax tracks the largest per-subspace candidate
 	// volume of the query — a max, not a sum: it measures how lopsided
 	// the subspace decomposition was, the load-skew signal behind the
-	// span tracer's straggler attribution. Data-determined (independent
-	// of worker scheduling), so replay equality holds under parallelism.
+	// span tracer's straggler attribution. Only searched subspaces count,
+	// so above one worker it depends on the schedule, as Subspaces,
+	// Candidates and SubspacesBounded do.
 	SubspaceCandidatesMax atomic.Int64
 }
 
@@ -63,6 +68,13 @@ func (s *Stats) AddSubspaces(n int64) {
 func (s *Stats) AddSubspacesSkipped(n int64) {
 	if s != nil {
 		s.SubspacesSkipped.Add(n)
+	}
+}
+
+// AddSubspacesBounded increments the bounded-subspace counter.
+func (s *Stats) AddSubspacesBounded(n int64) {
+	if s != nil {
+		s.SubspacesBounded.Add(n)
 	}
 }
 
@@ -158,6 +170,7 @@ func (s *Stats) RaiseSubspaceCandidates(n int64) {
 type Snapshot struct {
 	Subspaces          int64 `json:"subspaces"`
 	SubspacesSkipped   int64 `json:"subspaces_skipped"`
+	SubspacesBounded   int64 `json:"subspaces_bounded"`
 	Candidates         int64 `json:"candidates"`
 	PrunedPrefixes     int64 `json:"pruned_prefixes"`
 	Tuples             int64 `json:"tuples"`
@@ -183,6 +196,7 @@ type Snapshot struct {
 func (s Snapshot) Each(f func(name string, value int64)) {
 	f("subspaces", s.Subspaces)
 	f("subspaces_skipped", s.SubspacesSkipped)
+	f("subspaces_bounded", s.SubspacesBounded)
 	f("candidates", s.Candidates)
 	f("pruned_prefixes", s.PrunedPrefixes)
 	f("tuples", s.Tuples)
@@ -204,6 +218,7 @@ func (s Snapshot) Each(f func(name string, value int64)) {
 func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.Subspaces += o.Subspaces
 	s.SubspacesSkipped += o.SubspacesSkipped
+	s.SubspacesBounded += o.SubspacesBounded
 	s.Candidates += o.Candidates
 	s.PrunedPrefixes += o.PrunedPrefixes
 	s.Tuples += o.Tuples
@@ -228,6 +243,7 @@ func (s *Stats) Snapshot() Snapshot {
 	return Snapshot{
 		Subspaces:             s.Subspaces.Load(),
 		SubspacesSkipped:      s.SubspacesSkipped.Load(),
+		SubspacesBounded:      s.SubspacesBounded.Load(),
 		Candidates:            s.Candidates.Load(),
 		PrunedPrefixes:        s.PrunedPrefixes.Load(),
 		Tuples:                s.Tuples.Load(),

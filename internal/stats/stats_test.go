@@ -7,6 +7,7 @@ func TestSnapshotAdd(t *testing.T) {
 	s.AddSubspaces(2)
 	s.AddCandidates(10)
 	s.AddTuples(3)
+	s.AddSubspacesBounded(4)
 	a := s.Snapshot()
 	var s2 Stats
 	s2.AddSubspaces(1)
@@ -35,8 +36,8 @@ func TestSnapshotAdd(t *testing.T) {
 		}
 		i++
 	})
-	if i != 13 {
-		t.Errorf("Each visited %d counters, want 13", i)
+	if i != 14 {
+		t.Errorf("Each visited %d counters, want 14", i)
 	}
 }
 

@@ -113,12 +113,69 @@ func EnumerationQueries() []ShapedQuery {
 	return out
 }
 
+// TieGridQueries returns a dozen queries over tie-heavy datasets: two
+// categories on a coarse integer grid, each object with one of three
+// attribute vectors, so similarities tie in long runs and points sit on
+// split lines and band edges. Each query's first and last dimensions
+// share a category, and every fourth pins a dimension.
+func TieGridQueries() []ShapedQuery {
+	var out []ShapedQuery
+	for i := 0; i < 12; i++ {
+		rng := rand.New(rand.NewSource(int64(900 + i)))
+		ds := tieDataset(rng, 400)
+		q := RandQuery(rng, ds, 3, 8, query.Params{K: 1 + i%6, Alpha: 0.5, Beta: 1.5 + float64(i%3)})
+		q.Example.Categories[2] = q.Example.Categories[0]
+		if i%4 == 3 {
+			PinDims(rng, ds, q, 1)
+		}
+		if err := q.Validate(ds); err != nil {
+			//lint:ignore panicfree test-support package: known-good configs, and tests want the crash
+			panic(err)
+		}
+		out = append(out, ShapedQuery{Shape: "tie-grid", Name: "tie-grid/" + string(rune('a'+i)), DS: ds, Q: q})
+	}
+	return out
+}
+
+// tieDataset puts n objects of two categories on a coarse integer grid,
+// each with one of three attribute vectors.
+func tieDataset(rng *rand.Rand, n int) *dataset.Dataset {
+	vecs := [][]float64{{1, 0.2}, {0.6, 0.8}, {0.3, 0.9}}
+	b := &dataset.Builder{}
+	cats := []dataset.CategoryID{b.Category("a"), b.Category("b")}
+	for i := 0; i < n; i++ {
+		b.Add(dataset.Object{ID: int64(i), Category: cats[rng.Intn(2)], Attr: vecs[rng.Intn(3)],
+			Loc: geo.Point{X: float64(rng.Intn(25)), Y: float64(rng.Intn(25))}})
+	}
+	ds, err := b.Build()
+	if err != nil {
+		//lint:ignore panicfree test-support package: known-good configs, and tests want the crash
+		panic(err)
+	}
+	return ds
+}
+
 // EnumerationWork keeps a search's enumeration counters (HSP's DFS,
 // LORA's cell and point enumeration): the ones a change to an
 // enumeration loop is held to.
 func EnumerationWork(s stats.Snapshot) stats.Snapshot {
 	return stats.Snapshot{PrunedPrefixes: s.PrunedPrefixes, Tuples: s.Tuples, Offered: s.Offered,
 		CellTuples: s.CellTuples, PrunedCellPrefixes: s.PrunedCellPrefixes, RankPops: s.RankPops}
+}
+
+// EagerMemoFill is how many attribute cosines simil's eager memo fill
+// computes for q: each dimension's category population, one for a
+// pinned dimension.
+func EagerMemoFill(ds *dataset.Dataset, q *query.Query) int64 {
+	var n int64
+	for d, cat := range q.Example.Categories {
+		if q.Example.FixedDim(d) >= 0 {
+			n++
+		} else {
+			n += int64(len(ds.CategoryObjects(cat)))
+		}
+	}
+	return n
 }
 
 // RandDataset builds a dataset of n objects spread over extent x extent,
