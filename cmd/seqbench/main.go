@@ -110,9 +110,6 @@ func experiments() []experiment {
 		{"skew", "subspace-imbalance baseline from span tracing (parallel workers)", func(ctx context.Context, w io.Writer, cfg eval.Config) error {
 			return eval.SkewBaseline(ctx, w, cfg)
 		}},
-		{"shard", "scatter-gather coordinator scaling across shard counts", func(ctx context.Context, w io.Writer, cfg eval.Config) error {
-			return eval.ShardScaling(ctx, w, cfg)
-		}},
 		{"scale10m", "10M-POI Gaode-like load-and-answer smoke (heavy; not in 'all')", func(ctx context.Context, w io.Writer, cfg eval.Config) error {
 			return eval.Scale10M(ctx, w, cfg)
 		}},

@@ -60,7 +60,6 @@ type config struct {
 	cacheSize   int
 	logLevel    string
 	pprof       bool
-	shards      int
 
 	flightBuffer    int
 	flightWindow    time.Duration
@@ -80,7 +79,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.IntVar(&cfg.cacheSize, "cache", 0, "query cache capacity in entries (0 = default)")
 	fs.StringVar(&cfg.logLevel, "log-level", "info", "log level: debug, info, warn, error")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "expose /debug/pprof/ profiling endpoints")
-	fs.IntVar(&cfg.shards, "shards", 1, "geographic shard count: >1 serves /search through the in-process scatter-gather coordinator")
 	fs.IntVar(&cfg.flightBuffer, "flight-buffer", 0, "flight recorder ring size (0 = default 256, negative disables the ring)")
 	fs.DurationVar(&cfg.flightWindow, "flight-window", 0, "flight recorder tail-sampling window (0 = default 1m)")
 	fs.IntVar(&cfg.flightKeep, "flight-keep", 0, "slowest queries retained per window (0 = default 16, negative disables)")
@@ -146,10 +144,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if cfg.shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", cfg.shards)
-	}
-	logger.Info("indexing", "objects", ds.Len(), "categories", ds.NumCategories(), "shards", cfg.shards)
+	logger.Info("indexing", "objects", ds.Len(), "categories", ds.NumCategories())
 	eng := core.NewEngine(ds)
 	rec := flight.New(flight.Config{
 		RingSize:    cfg.flightBuffer,
@@ -165,7 +160,6 @@ func run(args []string) error {
 		Logger:      logger,
 		EnablePprof: cfg.pprof,
 		Flight:      rec,
-		Shards:      cfg.shards,
 	})
 	// Listen before serving so the actual bound address (":0" resolves
 	// to an ephemeral port) can be logged for scripts to pick up.

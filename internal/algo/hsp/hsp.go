@@ -26,7 +26,6 @@ import (
 
 	"spatialseq/internal/algo/sched"
 	"spatialseq/internal/dataset"
-	"spatialseq/internal/geo"
 	"spatialseq/internal/obs/span"
 	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
@@ -62,18 +61,6 @@ type Options struct {
 	// Steal sizes the stolen dim-0 chunks of the parallel path (see
 	// sched.Tuning). The zero value auto-sizes.
 	Steal sched.Tuning
-	// Own, when non-nil, restricts the search to the subspaces whose core
-	// rectangle it claims. The sharded serving tier hands each shard a
-	// disjoint claim over the subspace cores: Lemma 1 enumerates every
-	// candidate tuple in exactly one core subspace, so the union of the
-	// shards' filtered searches equals the unfiltered search. Must be
-	// pure (same answer for the same rectangle within one call).
-	Own func(core geo.Rect) bool
-	// Sink, when non-nil, replaces the internally allocated top-k
-	// collector. It must be safe for concurrent use when Parallelism > 1.
-	// The sharded tier injects a sink that couples the shard-local top-k
-	// to the cross-shard pruning-threshold exchange.
-	Sink topk.ResultSink
 	// Stats, when non-nil, collects per-search counters (subspaces,
 	// candidates, pruned prefixes, scored tuples).
 	Stats *stats.Stats
@@ -100,12 +87,9 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var sink topk.ResultSink
-	switch {
-	case opt.Sink != nil:
-		sink = opt.Sink
-	case workers > 1:
+	if workers > 1 {
 		sink = topk.NewConcurrent(q.Params.K)
-	default:
+	} else {
 		sink = topk.New(q.Params.K)
 	}
 	work, bounds, err := plan(sctx, ix, opt)
@@ -142,7 +126,7 @@ func plan(sctx *simil.Context, ix *partition.Index, opt Options) ([]*partition.S
 	if opt.DisablePartition {
 		radius = math.Inf(1)
 	}
-	return sctx.Plan(ix, simil.PlanSpec{Radius: radius, Ordered: !opt.LooseBounds, Own: opt.Own,
+	return sctx.Plan(ix, simil.PlanSpec{Radius: radius, Ordered: !opt.LooseBounds,
 		Phases: planPhases, Span: opt.Span, Stats: opt.Stats})
 }
 

@@ -66,14 +66,6 @@ type Options struct {
 	// Steal sizes the stolen root-cell chunks of the parallel path (see
 	// sched.Tuning). The zero value auto-sizes.
 	Steal sched.Tuning
-	// Own, when non-nil, restricts the search to the subspaces whose core
-	// rectangle it claims; see hsp.Options.Own. Lemma 1's exactly-once
-	// discipline makes the union over a disjoint claim set equal the
-	// unfiltered search (up to LORA's usual sampling approximation).
-	Own func(core geo.Rect) bool
-	// Sink, when non-nil, replaces the internally allocated top-k
-	// collector. It must be safe for concurrent use when Parallelism > 1.
-	Sink topk.ResultSink
 	// Stats, when non-nil, collects per-search counters (subspaces,
 	// cell tuples, rank-graph pops, sampling discards).
 	Stats *stats.Stats
@@ -101,12 +93,9 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var sink topk.ResultSink
-	switch {
-	case opt.Sink != nil:
-		sink = opt.Sink
-	case workers > 1:
+	if workers > 1 {
 		sink = topk.NewConcurrent(q.Params.K)
-	default:
+	} else {
 		sink = topk.New(q.Params.K)
 	}
 	work, bounds, err := plan(sctx, ix, opt)
@@ -136,7 +125,7 @@ var planPhases = simil.PlanPhases{Partition: "lora.partition", Memo: "lora.simpr
 // bound on the sampled space and its k-valid-pops rule is per cell
 // tuple, so the order does not change its answers.
 func plan(sctx *simil.Context, ix *partition.Index, opt Options) ([]*partition.Subspace, []float64, error) {
-	return sctx.Plan(ix, simil.PlanSpec{Radius: sctx.PartitionRadius(), Ordered: true, Own: opt.Own,
+	return sctx.Plan(ix, simil.PlanSpec{Radius: sctx.PartitionRadius(), Ordered: true,
 		Phases: planPhases, Span: opt.Span, Stats: opt.Stats})
 }
 

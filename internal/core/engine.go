@@ -131,26 +131,10 @@ type Result struct {
 	Skew *span.SkewReport
 }
 
-// Searcher is the engine-shaped query surface: anything that validates a
-// CSEQ against its dataset and answers it. Engine implements it for one
-// process-local dataset; the sharded coordinator implements it by
-// scatter-gathering over per-shard engines. The server and the eval
-// harness accept a Searcher so both serving shapes share one pipeline.
-type Searcher interface {
-	// Dataset returns the dataset queries are validated against.
-	Dataset() *dataset.Dataset
-	// Search answers q with the requested algorithm; see Engine.Search.
-	Search(ctx context.Context, q *query.Query, algo Algorithm, opt Options) (*Result, error)
-}
-
 // Engine answers example-based queries over one dataset.
 type Engine struct {
 	ds  *dataset.Dataset
 	pix *partition.Index
-	// shardID tags this engine's flight records when it serves one shard
-	// of a scatter-gather tier; flight.NoShard (the default) marks an
-	// unsharded engine.
-	shardID int32
 	// flight, when set, receives one flight.Record per Search call —
 	// the always-on per-query forensics channel. Atomic so a recorder
 	// can be attached after searches have started (the server wires it
@@ -159,31 +143,14 @@ type Engine struct {
 	flight atomic.Pointer[flight.Recorder]
 }
 
-var _ Searcher = (*Engine)(nil)
-
 // NewEngine builds the engine and its shared spatial index.
 func NewEngine(ds *dataset.Dataset) *Engine {
 	pts := make([]geo.Point, ds.Len())
 	for i := range pts {
 		pts[i] = ds.Loc(i)
 	}
-	return NewEngineWithIndex(ds, partition.NewIndex(pts))
+	return &Engine{ds: ds, pix: partition.NewIndex(pts)}
 }
-
-// NewEngineWithIndex builds an engine around an existing partition index
-// (which must index exactly the locations of ds, in dataset position
-// order). The sharded tier uses it to run one engine per shard against
-// one shared dataset and index instead of N copies of the R-tree.
-func NewEngineWithIndex(ds *dataset.Dataset, pix *partition.Index) *Engine {
-	return &Engine{ds: ds, pix: pix, shardID: flight.NoShard}
-}
-
-// SetShardID marks the engine as serving one shard of a scatter-gather
-// tier: every flight record it emits carries id, and replayable captures
-// are suppressed (a shard sees only its slice of the work, so its
-// counters cannot be reproduced by a single-engine replay). Must be set
-// before searches start.
-func (e *Engine) SetShardID(id int32) { e.shardID = id }
 
 // Dataset returns the engine's dataset.
 func (e *Engine) Dataset() *dataset.Dataset { return e.ds }
@@ -214,7 +181,6 @@ func (e *Engine) Search(ctx context.Context, q *query.Query, algo Algorithm, opt
 	res, err := e.search(ctx, q, algo, opt)
 	rec := flight.Record{
 		RequestID: obs.RequestID(ctx),
-		ShardID:   e.shardID,
 		Start:     start.UnixNano(),
 		Variant:   q.Variant.String(),
 		M:         int32(q.Example.M()),
@@ -230,13 +196,7 @@ func (e *Engine) Search(ctx context.Context, q *query.Query, algo Algorithm, opt
 		rec.Outcome = flight.OutcomeOK
 		rec.Work = res.Stats
 		if fr.WouldRetain(res.Elapsed) {
-			// Shard engines skip the capture: a shard executes only its
-			// slice of the query, so its work counters cannot be matched
-			// by the single-engine replay harness. The per-shard span
-			// tree is still retained — that is the shard-level forensic.
-			if e.shardID == flight.NoShard {
-				rec.Capture = CaptureQuery(e.ds, q, res.Algorithm)
-			}
+			rec.Capture = CaptureQuery(e.ds, q, res.Algorithm)
 			// The tree snapshot allocates; WouldRetain gates it so fast
 			// queries never pay for a trace nobody will look at.
 			rec.Spans = opt.Spans.Snapshot()
@@ -351,9 +311,8 @@ func (e *Engine) search(ctx context.Context, q *query.Query, algo Algorithm, opt
 // Choose resolves Auto to the concrete algorithm for a validated query:
 // the exact HSP while the candidate volume (summed matching-category
 // populations) stays small, LORA beyond that. Non-Auto algorithms pass
-// through unchanged. Package-level so the sharded coordinator resolves
-// once — every shard then runs the same algorithm the single engine
-// would have picked.
+// through unchanged. Package-level so callers outside the engine resolve
+// Auto exactly as Search does.
 func Choose(ds *dataset.Dataset, q *query.Query, algo Algorithm) Algorithm {
 	if algo != Auto {
 		return algo

@@ -48,9 +48,6 @@ func TestSearchEmitsFlightRecord(t *testing.T) {
 	if int(r.M) != q.Example.M() || int(r.K) != q.Params.K {
 		t.Errorf("m=%d k=%d, want m=%d k=%d", r.M, r.K, q.Example.M(), q.Params.K)
 	}
-	if r.ShardID != flight.NoShard {
-		t.Errorf("ShardID = %d, want NoShard", r.ShardID)
-	}
 	if r.Work != res.Stats {
 		t.Errorf("record work %+v != result stats %+v", r.Work, res.Stats)
 	}

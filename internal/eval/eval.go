@@ -107,10 +107,9 @@ func (a *AlgoRun) AvgSim() float64 {
 // is cut short with TimedOut=true and the completed prefix retained; an
 // engine error likewise cuts the run short but lands in Err, so callers
 // can tell a slow algorithm from a broken query. The run always collects
-// the engine's work counters (Work) and allocation deltas. eng is any
-// core.Searcher — a single engine or the sharded coordinator. The run
-// starts from a warm partition cache (see warmPartitions).
-func RunQueries(ctx context.Context, eng core.Searcher, queries []*query.Query, algo core.Algorithm, opt core.Options, budget time.Duration) *AlgoRun {
+// the engine's work counters (Work) and allocation deltas. The run starts
+// from a warm partition cache (see warmPartitions).
+func RunQueries(ctx context.Context, eng *core.Engine, queries []*query.Query, algo core.Algorithm, opt core.Options, budget time.Duration) *AlgoRun {
 	run := &AlgoRun{Algo: algo, Attempted: len(queries)}
 	opt.CollectStats = true
 	warmPartitions(eng, queries)
@@ -162,16 +161,12 @@ func RunQueries(ctx context.Context, eng core.Searcher, queries []*query.Query, 
 }
 
 // warmPartitions builds, untimed, the partition of every radius bucket
-// the queries use into a single engine's partition cache, where a
+// the queries use into the engine's partition cache, where a
 // long-running engine already holds them. Without it the first timed
 // run on a fresh engine pays the partition builds that every later run
-// skips. The sharded coordinator is left as it is.
-func warmPartitions(eng core.Searcher, queries []*query.Query) {
-	e, ok := eng.(*core.Engine)
-	if !ok {
-		return
-	}
-	ds, ix := e.Dataset(), e.PartitionIndex()
+// skips.
+func warmPartitions(eng *core.Engine, queries []*query.Query) {
+	ds, ix := eng.Dataset(), eng.PartitionIndex()
 	for _, q := range queries {
 		qq := *q
 		if qq.Validate(ds) == nil {

@@ -42,7 +42,6 @@ func buildCapture(t *testing.T, nq int) flight.CaptureFile {
 		cf.Records = append(cf.Records, flight.Record{
 			Seq:       uint64(i + 1),
 			RequestID: "test",
-			ShardID:   flight.NoShard,
 			LatencyNS: int64(res.Elapsed),
 			Algorithm: res.Algorithm.String(),
 			Variant:   q.Variant.String(),

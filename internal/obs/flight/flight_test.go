@@ -20,7 +20,6 @@ import (
 func mkRec(seqHint int, start, lat int64) Record {
 	return Record{
 		RequestID: "req",
-		ShardID:   NoShard,
 		Start:     start,
 		LatencyNS: lat,
 		Algorithm: "hsp",
@@ -372,7 +371,7 @@ func TestCaptureFileRoundTrip(t *testing.T) {
 		Dataset: DatasetInfo{Kind: "synth", Family: "gaode", N: 2000, Seed: 1},
 		Records: []Record{
 			{
-				Seq: 7, RequestID: "abc", ShardID: NoShard,
+				Seq: 7, RequestID: "abc",
 				LatencyNS: 123456, Algorithm: "hsp", Variant: "CSEQ",
 				M: 2, K: 3, Outcome: OutcomeOK,
 				Work: stats.Snapshot{},

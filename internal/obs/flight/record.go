@@ -49,11 +49,6 @@ const (
 	OutcomeTimeout = "timeout"
 )
 
-// NoShard marks a record emitted by an unsharded engine. The field is
-// reserved for the scatter-gather serving tier: a coordinator stamps the
-// owning shard here so per-shard latency attribution survives the merge.
-const NoShard int32 = -1
-
 // Record is one completed query, as retained by the recorder. All
 // fields are plain values so a Record can be copied into and out of the
 // ring buffer without allocation.
@@ -63,8 +58,6 @@ type Record struct {
 	// RequestID correlates the record with request logs ("" for
 	// non-HTTP callers such as benchmarks).
 	RequestID string `json:"request_id,omitempty"`
-	// ShardID is the owning shard, or NoShard for a single engine.
-	ShardID int32 `json:"shard_id"`
 	// Start is the query start time in Unix nanoseconds.
 	Start int64 `json:"start_unix_ns"`
 	// LatencyNS is the total query latency in nanoseconds.

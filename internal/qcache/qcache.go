@@ -164,15 +164,13 @@ func (c *Cache) Metrics() Metrics {
 	return Metrics{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Len: c.order.Len()}
 }
 
-// Search answers q through the cache: probe, else run s.Search and store
-// the result. s is any core.Searcher — a single engine or the sharded
-// coordinator; both validate identically against the shared dataset.
-// Queries with a custom metric bypass the cache entirely. The query is
-// validated (and its params normalized) before the key is built, so
-// equivalent queries written with and without default values share an
-// entry.
-func (c *Cache) Search(ctx context.Context, s core.Searcher, q *query.Query, algo core.Algorithm, opt core.Options) (*core.Result, bool, error) {
-	if err := q.Validate(s.Dataset()); err != nil {
+// Search answers q through the cache: probe, else run eng.Search and
+// store the result. Queries with a custom metric bypass the cache
+// entirely. The query is validated (and its params normalized) before
+// the key is built, so equivalent queries written with and without
+// default values share an entry.
+func (c *Cache) Search(ctx context.Context, eng *core.Engine, q *query.Query, algo core.Algorithm, opt core.Options) (*core.Result, bool, error) {
+	if err := q.Validate(eng.Dataset()); err != nil {
 		return nil, false, err
 	}
 	key, cacheable := Key(q, algo)
@@ -181,7 +179,7 @@ func (c *Cache) Search(ctx context.Context, s core.Searcher, q *query.Query, alg
 			return res, true, nil
 		}
 	}
-	res, err := s.Search(ctx, q, algo, opt)
+	res, err := eng.Search(ctx, q, algo, opt)
 	if err != nil {
 		return nil, false, err
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"spatialseq/internal/core"
 	"spatialseq/internal/obs"
@@ -110,5 +111,25 @@ func TestSearchParamCeilings(t *testing.T) {
 	}
 	if resp, _ := postSearch(t, ts, mk(3, 1025)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("grid above ceiling: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSearchBudgetExpiredReturns504 pins the status of a request whose
+// time budget runs out: a server whose Timeout expires before the search
+// starts answers 504 Gateway Timeout with a JSON error body, distinct
+// from the 400 of a bad query.
+func TestSearchBudgetExpiredReturns504(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	ds := testutil.RandDataset(rng, 400, 3, 4, 100)
+	ts := httptest.NewServer(NewWith(core.NewEngine(ds), Config{Timeout: time.Nanosecond}))
+	defer ts.Close()
+
+	resp, body := postSearch(t, ts, searchReq(ds))
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504; body = %s", resp.StatusCode, body)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
+		t.Fatalf("504 body %q is not a JSON error (%v)", body, err)
 	}
 }

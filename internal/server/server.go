@@ -52,7 +52,6 @@ import (
 	"spatialseq/internal/obs/span"
 	"spatialseq/internal/qcache"
 	"spatialseq/internal/query"
-	"spatialseq/internal/shard"
 	"spatialseq/internal/stats"
 )
 
@@ -77,27 +76,11 @@ type Config struct {
 	// recorder is attached to the engine, so engine-side emissions and
 	// the server's cache-hit records land in one place.
 	Flight *flight.Recorder
-	// Shards > 1 serves /search through an in-process scatter-gather
-	// coordinator: the dataset and partition index are shared across N
-	// shard engines, answers stay tuple-for-tuple identical to the
-	// single engine, per-shard flight records carry their shard ID, and
-	// per-shard work/busy counters land in Metrics.
-	Shards int
-	// Coordinator, when non-nil, overrides Shards with a pre-built
-	// scatter-gather coordinator (the hook for custom shard backends —
-	// fault-injection tests today, remote transports later). Pass the
-	// same recorder as Flight when its backends should share
-	// /debug/queries.
-	Coordinator *shard.Coordinator
 }
 
 // Server handles the HTTP API for one engine.
 type Server struct {
 	eng *core.Engine
-	// searcher answers /search: the engine itself, or the scatter-gather
-	// coordinator when sharding is configured. eng stays the metadata
-	// surface (dataset, snap, cache-hit records) either way.
-	searcher core.Searcher
 	// Timeout bounds each search request (default 30s).
 	Timeout time.Duration
 	cache   *qcache.Cache
@@ -154,18 +137,6 @@ func NewWith(eng *core.Engine, cfg Config) *Server {
 	// sees. Attaching here means the last server built around an engine
 	// owns its record stream.
 	eng.SetFlightRecorder(cfg.Flight)
-	s.searcher = eng
-	switch {
-	case cfg.Coordinator != nil:
-		s.searcher = cfg.Coordinator
-	case cfg.Shards > 1:
-		s.searcher = shard.New(eng.Dataset(), shard.Config{
-			Shards:  cfg.Shards,
-			Index:   eng.PartitionIndex(),
-			Flight:  cfg.Flight,
-			Metrics: cfg.Metrics,
-		})
-	}
 	obs.RegisterProcessMetrics(cfg.Metrics)
 	s.inflight = cfg.Metrics.Gauge("spatialseq_http_in_flight_requests",
 		"Requests currently being served.").With()
@@ -460,23 +431,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if req.IncludeStats {
 		// Bypass the cache: the phase timings must describe this
 		// execution, not a stored one.
-		res, err = s.searcher.Search(ctx, q, algo, opt)
+		res, err = s.eng.Search(ctx, q, algo, opt)
 	} else {
-		res, cached, err = s.cache.Search(ctx, s.searcher, q, algo, opt)
+		res, cached, err = s.cache.Search(ctx, s.eng, q, algo, opt)
 	}
 	s.phasesDropped.Add(float64(opt.Spans.PhasesDropped()))
 	s.spansDropped.Add(float64(opt.Spans.Dropped()))
 	if err != nil {
 		status := http.StatusBadRequest
-		var shardErr *shard.Error
-		switch {
-		case ctx.Err() != nil:
+		if ctx.Err() != nil {
 			status = http.StatusGatewayTimeout
-		case errors.As(err, &shardErr):
-			// A shard leg failed for a non-budget reason: the query was
-			// valid but a backend broke, which is a gateway-style 502 —
-			// never a silently truncated 200.
-			status = http.StatusBadGateway
 		}
 		s.writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
@@ -530,7 +494,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) emitHitRecord(ctx context.Context, q *query.Query, res *core.Result, elapsed time.Duration) {
 	rec := flight.Record{
 		RequestID: obs.RequestID(ctx),
-		ShardID:   flight.NoShard,
 		Start:     time.Now().Add(-elapsed).UnixNano(),
 		LatencyNS: int64(elapsed),
 		Algorithm: res.Algorithm.String(),
@@ -601,8 +564,8 @@ th{background:#eee}
 <h2>recent</h2>
 {{template "tbl" .Recent}}
 {{define "tbl"}}{{if .}}<table>
-<tr><th class=l>request</th><th>seq</th><th>shard</th><th>latency ms</th><th class=l>algorithm</th><th class=l>variant</th><th>m</th><th>pins</th><th>k</th><th class=l>cache</th><th class=l>outcome</th><th class=l>capture</th><th>imbalance</th><th class=l>trace</th></tr>
-{{range .}}<tr><td class=l>{{.RequestID}}</td><td>{{.Seq}}</td><td>{{if ge .ShardID 0}}{{.ShardID}}{{end}}</td><td>{{printf "%.3f" .LatencyMS}}</td><td class=l>{{.Algorithm}}</td><td class=l>{{.Variant}}</td><td>{{.M}}</td><td>{{.Pins}}</td><td>{{.K}}</td><td class=l>{{if .CacheHit}}hit{{else}}miss{{end}}</td><td class=l>{{.Outcome}}</td><td class=l>{{if .Capture}}yes{{end}}</td><td>{{if .Skew}}{{printf "%.2f" .Skew.ImbalanceRatio}}{{end}}</td><td class=l>{{if and .Spans .RequestID}}<a href="/debug/trace/{{.RequestID}}?format=html">trace</a>{{end}}</td></tr>
+<tr><th class=l>request</th><th>seq</th><th>latency ms</th><th class=l>algorithm</th><th class=l>variant</th><th>m</th><th>pins</th><th>k</th><th class=l>cache</th><th class=l>outcome</th><th class=l>capture</th><th>imbalance</th><th class=l>trace</th></tr>
+{{range .}}<tr><td class=l>{{.RequestID}}</td><td>{{.Seq}}</td><td>{{printf "%.3f" .LatencyMS}}</td><td class=l>{{.Algorithm}}</td><td class=l>{{.Variant}}</td><td>{{.M}}</td><td>{{.Pins}}</td><td>{{.K}}</td><td class=l>{{if .CacheHit}}hit{{else}}miss{{end}}</td><td class=l>{{.Outcome}}</td><td class=l>{{if .Capture}}yes{{end}}</td><td>{{if .Skew}}{{printf "%.2f" .Skew.ImbalanceRatio}}{{end}}</td><td class=l>{{if and .Spans .RequestID}}<a href="/debug/trace/{{.RequestID}}?format=html">trace</a>{{end}}</td></tr>
 {{end}}</table>{{else}}<p>(none)</p>{{end}}{{end}}
 </body></html>
 `))

@@ -1,7 +1,6 @@
 package simil
 
 import (
-	"spatialseq/internal/geo"
 	"spatialseq/internal/obs/span"
 	"spatialseq/internal/partition"
 	"spatialseq/internal/stats"
@@ -14,8 +13,6 @@ type PlanSpec struct {
 	// Ordered bounds the subspaces and visits them best-first
 	// (OrderByBound); false keeps partition order with no bounds.
 	Ordered bool
-	// Own, when non-nil, keeps only the subspaces whose core it accepts.
-	Own func(core geo.Rect) bool
 	// Phases names the plan's spans, opened under Span.
 	Phases PlanPhases
 	Span   span.Span
@@ -50,9 +47,6 @@ func (c *Context) Plan(ix *partition.Index, ps PlanSpec) ([]*partition.Subspace,
 	for si := range part.Subspaces {
 		ss := &part.Subspaces[si]
 		if fixed0 >= 0 && !ss.Core.Contains(c.DS.Loc(int(fixed0))) {
-			continue
-		}
-		if ps.Own != nil && !ps.Own(ss.Core) {
 			continue
 		}
 		work = append(work, ss)

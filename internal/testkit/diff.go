@@ -129,13 +129,10 @@ type DiffReport struct {
 	Mismatches []Mismatch
 }
 
-// CaseAt derives the i-th seeded recipe of the sweep (before
-// materialization — call Generate on the result). It is the single
-// source of the suite's case schedule: RunDiff iterates it, and external
-// differential suites (the sharded coordinator's) replay the exact same
-// recipes by iterating it themselves.
-func (cfg DiffConfig) CaseAt(i int) *Case {
-	cfg.fillDefaults()
+// caseAt derives the i-th seeded recipe of the sweep (before
+// materialization — call Generate on the result): the suite's case
+// schedule, which RunDiff iterates once it has filled cfg's defaults.
+func (cfg DiffConfig) caseAt(i int) *Case {
 	c := &Case{
 		Seed:    mix64(cfg.Seed, i),
 		Shape:   cfg.Shapes[i%len(cfg.Shapes)],
@@ -170,7 +167,7 @@ func RunDiff(ctx context.Context, cfg DiffConfig) (*DiffReport, error) {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
-		c := cfg.CaseAt(i)
+		c := cfg.caseAt(i)
 		if err := c.Generate(); err != nil {
 			return rep, err
 		}
@@ -261,43 +258,6 @@ func CheckCaseSteal(ctx context.Context, c *Case, chunkSizes []int, checkLORA bo
 			}
 			out = append(out, CheckApprox(c, want, approx)...)
 		}
-	}
-	return out, nil
-}
-
-// SearchFunc is an injected search implementation: a higher tier (the
-// sharded scatter-gather coordinator, a future remote serving path) hands
-// its whole pipeline in as a closure returning ranked entries. testkit
-// sits below internal/core in the layer graph, so this is the only shape
-// in which those tiers can plug into the differential oracle.
-type SearchFunc func(ctx context.Context, ds *dataset.Dataset, q *query.Query) ([]topk.Entry, error)
-
-// CheckCaseAgainst runs one generated case through fn and compares the
-// answer tuple-for-tuple against the brute-force oracle — the injection
-// point that extends the CheckCase family beyond the in-package
-// algorithms. algo labels any mismatches.
-func CheckCaseAgainst(ctx context.Context, c *Case, algo string, fn SearchFunc) ([]Mismatch, error) {
-	want := brute.Search(c.DS, c.Q)
-	got, err := fn(ctx, c.DS, c.Q)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", algo, err)
-	}
-	return CompareExact(c, algo, want, got), nil
-}
-
-// CheckApproxAgainst is CheckCaseAgainst for approximate implementations:
-// fn's answer is validated against the LORA contract (feasibility,
-// correct scores, rank-by-rank domination by the exact top-k) instead of
-// tuple equality.
-func CheckApproxAgainst(ctx context.Context, c *Case, algo string, fn SearchFunc) ([]Mismatch, error) {
-	want := brute.Search(c.DS, c.Q)
-	got, err := fn(ctx, c.DS, c.Q)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", algo, err)
-	}
-	out := CheckApprox(c, want, got)
-	for i := range out {
-		out[i].Algo = algo
 	}
 	return out, nil
 }

@@ -21,10 +21,9 @@ type Sink interface {
 	Offer(tuple []int32, sim float64) bool
 }
 
-// ResultSink is a Sink whose collected entries can be read back. The
-// algorithms accept one as an externally supplied collector (the sharded
-// serving tier injects a threshold-sharing sink this way); Heap and
-// Concurrent both implement it.
+// ResultSink is a Sink whose collected entries can be read back. HSP and
+// LORA hold their collector as one: a Heap on one worker, a Concurrent
+// above one.
 type ResultSink interface {
 	Sink
 	// Results returns the held entries ordered best-first (similarity
@@ -38,10 +37,11 @@ var (
 )
 
 // Concurrent is a thread-safe top-k sink for parallel subspace searches.
-// Offer takes a mutex; WouldAccept is lock-free against an atomically
-// published threshold, which may lag behind the true one — pruning with a
-// stale (lower) threshold only admits extra candidates, preserving
-// exactness.
+// WouldAccept is lock-free against an atomically published threshold,
+// which may lag behind the true one — pruning with a stale (lower)
+// threshold only admits extra candidates, preserving exactness. Offer
+// rejects a tuple strictly below that threshold without the mutex and
+// takes the mutex for every other tuple.
 type Concurrent struct {
 	mu  sync.Mutex
 	h   *Heap
@@ -78,9 +78,15 @@ func (c *Concurrent) Threshold() float64 {
 }
 
 // Offer proposes a tuple under the lock and republishes the threshold.
+// A tuple strictly below the published threshold is rejected before the
+// lock: the heap's threshold only rises, so Heap.Offer's fast path would
+// reject it too. NaN and ties take the lock.
 //
 //seq:hotpath
 func (c *Concurrent) Offer(tuple []int32, sim float64) bool {
+	if sim < math.Float64frombits(c.thr.Load()) {
+		return false
+	}
 	c.mu.Lock()
 	inserted := c.h.Offer(tuple, sim)
 	c.thr.Store(math.Float64bits(c.h.Threshold()))

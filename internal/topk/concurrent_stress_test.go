@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestConcurrentStress hammers one Concurrent sink from many goroutines
@@ -115,5 +116,29 @@ func TestSinkOfferCopiesTuple(t *testing.T) {
 		if !reflect.DeepEqual(got[0].Tuple, []int32{1, 2, 3}) {
 			t.Errorf("%s: Offer retained the caller's buffer: mutating it changed Results to %v", name, got[0].Tuple)
 		}
+	}
+}
+
+// TestConcurrentRejectsBelowThresholdWithoutLock pins Offer's lock-free
+// reject: with the mutex held elsewhere, an offer strictly below the
+// published threshold of a full sink must return false at once instead
+// of waiting for the lock.
+func TestConcurrentRejectsBelowThresholdWithoutLock(t *testing.T) {
+	c := NewConcurrent(2)
+	c.Offer([]int32{1}, 0.5)
+	c.Offer([]int32{2}, 0.6)
+	c.mu.Lock()
+	done := make(chan bool, 1)
+	go func() { done <- c.Offer([]int32{3}, 0.4) }()
+	select {
+	case inserted := <-done:
+		c.mu.Unlock()
+		if inserted {
+			t.Fatal("Offer below the threshold was inserted")
+		}
+	case <-time.After(5 * time.Second):
+		c.mu.Unlock()
+		<-done
+		t.Fatal("Offer below the threshold waited for the mutex")
 	}
 }

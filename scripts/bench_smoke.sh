@@ -15,11 +15,9 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_smoke.json}"
 
 # skew rides along so the worker-imbalance gauges (work stealing's
-# target metric) are part of every baseline benchdiff gates on; shard
-# likewise keeps the scatter-gather coordinator's per-shard-count
-# latency and cross-shard skew gauges in the artifact.
+# target metric) are part of every baseline benchdiff gates on.
 go run ./cmd/seqbench \
-    -exp table2-gaode,table3,skew,shard \
+    -exp table2-gaode,table3,skew \
     -sizes 200,500 -queries 3 -budget 10s -seed 1 \
     -json "$out" >/dev/null
 
