@@ -84,7 +84,7 @@ func TestCutoffMatchesPerCandidateLoop(t *testing.T) {
 			want, wantWork, tu := searchPerCandidate(t, c.DS, c.Q, opt)
 			tailUsed[c.Shape] += tu
 			opt.Stats = &stats.Stats{}
-			got, err := Search(context.Background(), c.DS, buildIndex(c.DS), c.Q, opt)
+			got, err := Search(context.Background(), c.DS, partition.NewIndex(c.DS), c.Q, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", c.Name, err)
 			}

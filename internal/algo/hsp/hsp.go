@@ -75,8 +75,8 @@ type Options struct {
 	Span span.Span
 }
 
-// Search answers q exactly using the prebuilt partition index ix (which
-// must index exactly the locations of ds, in dataset position order).
+// Search answers q exactly using ix, the partition index built over ds
+// (partition.NewIndex).
 func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *query.Query, opt Options) ([]topk.Entry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -101,7 +101,7 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	// single-subspace query (DisablePartition, or a pinned dim 0)
 	// parallelizes.
 	cut, err := sched.Run(len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, workers, hspMinChunk, opt.Steal, func() sched.Worker[prepState] {
-		return newSearcher(ctx, sctx, sink, q, work, opt)
+		return newSearcher(ctx, sctx, sink, q, ix, work, opt)
 	})
 	if err != nil {
 		return nil, err
@@ -130,12 +130,13 @@ func plan(sctx *simil.Context, ix *partition.Index, opt Options) ([]*partition.S
 		Phases: planPhases, Span: opt.Span, Stats: opt.Stats})
 }
 
-func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, work []*partition.Subspace, opt Options) *searcher {
+func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, ix *partition.Index, work []*partition.Subspace, opt Options) *searcher {
 	return &searcher{
 		ctx:     ctx,
 		sctx:    sctx,
 		heap:    sink,
 		q:       q,
+		ix:      ix,
 		work:    work,
 		span:    opt.Span,
 		tuple:   make([]int32, sctx.M),
@@ -225,6 +226,7 @@ type searcher struct {
 	sctx    *simil.Context
 	heap    topk.Sink
 	q       *query.Query
+	ix      *partition.Index
 	work    []*partition.Subspace
 	span    span.Span
 	tuple   []int32
@@ -266,9 +268,9 @@ func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query
 	}
 	p.scored = 0
 	for d := 0; d < m; d++ {
-		region, source := ss.AC, ss.ACPoints
+		region := ss.AC
 		if d == 0 {
-			region, source = ss.Core, ss.CorePoints
+			region = ss.Core
 		}
 		if fixed := q.Example.FixedDim(d); fixed >= 0 {
 			if !region.Contains(ds.Loc(int(fixed))) {
@@ -276,7 +278,7 @@ func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query
 			}
 			p.cands[d] = append(p.cands[d][:0], simil.Cand{Pos: fixed, Sim: c.AttrSim(d, fixed)})
 		} else {
-			p.cands[d] = c.RegionCandidatesInto(p.cands[d][:0], d, region, source, &s.batch)
+			p.cands[d] = c.RegionCandidatesInto(p.cands[d][:0], d, s.ix, region, &s.batch)
 		}
 		p.scored += int64(len(p.cands[d]))
 		if len(p.cands[d]) == 0 {
@@ -400,10 +402,10 @@ func (s *searcher) dfs(dim int, attrSum float64, lo, hi int) error {
 // sameCategoryBefore counts, per example dimension, the earlier
 // dimensions that share its category. Their tuple objects all sit in the
 // dimension's candidate list: a prefix object lies in the ac-subspace
-// (partition.Subspace.ACPoints holds every point of it, core points
-// included), and the list is exactly the ac-subspace's points of that
-// category. A pinned dimension's list holds only its own object and
-// counts none.
+// (its AC rectangle contains the core), and the list is exactly the
+// ac-subspace's objects of that category (partition.Index.Gather over
+// AC). A pinned dimension's list holds only its own object and counts
+// none.
 func sameCategoryBefore(ex *query.Example) []int {
 	out := make([]int, ex.M())
 	for dim := range out {

@@ -9,16 +9,16 @@ import (
 	"spatialseq/internal/algo/dfsprune"
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/testutil"
 )
 
-// buildIndex, simsOf and simsEqual are the shared helpers from
-// internal/testutil; the aliases keep this file's call sites short.
+// simsOf and simsEqual are the shared helpers from internal/testutil;
+// the aliases keep this file's call sites short.
 var (
-	buildIndex = testutil.BuildIndex
-	simsOf     = testutil.Sims
-	simsEqual  = testutil.SimsEqual
+	simsOf    = testutil.Sims
+	simsEqual = testutil.SimsEqual
 )
 
 // TestExactnessAgainstBruteForce is the central correctness test: HSP and
@@ -44,7 +44,7 @@ func TestExactnessAgainstBruteForce(t *testing.T) {
 	for ci, cfg := range configs {
 		for trial := 0; trial < 4; trial++ {
 			ds := testutil.RandDataset(rng, cfg.n, cfg.cats, 4, 100)
-			ix := buildIndex(ds)
+			ix := partition.NewIndex(ds)
 			params := query.Params{K: 5, Alpha: cfg.alpha, Beta: cfg.beta, GridD: 4, Xi: 10}
 			q := testutil.RandQuery(rng, ds, cfg.m, 30, params)
 			q.Variant = cfg.variant
@@ -75,7 +75,7 @@ func TestExactnessAgainstBruteForce(t *testing.T) {
 func TestAblationVariantsStayExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	ds := testutil.RandDataset(rng, 70, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 	for trial := 0; trial < 5; trial++ {
 		q := testutil.RandQuery(rng, ds, 3, 25, params)
@@ -103,7 +103,7 @@ func TestFixedPointExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 8; trial++ {
 		ds := testutil.RandDataset(rng, 70, 3, 4, 100)
-		ix := buildIndex(ds)
+		ix := partition.NewIndex(ds)
 		params := query.Params{K: 4, Alpha: 0.5, Beta: 2.0, GridD: 4, Xi: 10}
 		q := testutil.RandQuery(rng, ds, 3, 25, params)
 		// pin dimension 1 (and sometimes 0) to real dataset objects
@@ -145,7 +145,7 @@ func TestFixedPointExactness(t *testing.T) {
 func TestResultsSatisfyNormConstraint(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	ds := testutil.RandDataset(rng, 120, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 8, Alpha: 0.5, Beta: 1.3, GridD: 4, Xi: 10}
 	for trial := 0; trial < 6; trial++ {
 		q := testutil.RandQuery(rng, ds, 3, 20, params)
@@ -173,7 +173,7 @@ func TestResultsSatisfyNormConstraint(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	ds := testutil.RandDataset(rng, 3000, 2, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 9, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 4, 60, params)
 	if err := q.Validate(ds); err != nil {
@@ -203,7 +203,7 @@ func TestEmptyCategoryYieldsNoResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	q := &query.Query{
 		Variant: query.CSEQ,
 		Example: query.Example{
@@ -228,7 +228,7 @@ func TestEmptyCategoryYieldsNoResults(t *testing.T) {
 func TestKLargerThanCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	ds := testutil.RandDataset(rng, 12, 2, 3, 50)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 500, Alpha: 0.5, Beta: 9, GridD: 3, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 2, 20, params)
 	if err := q.Validate(ds); err != nil {

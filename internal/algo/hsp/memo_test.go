@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spatialseq/internal/algo/brute"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/stats"
 	"spatialseq/internal/testutil"
@@ -19,7 +20,7 @@ import (
 func TestMemoCountersAndExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(124))
 	ds := testutil.RandDataset(rng, 300, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 3, 20, params)
 	if err := q.Validate(ds); err != nil {
@@ -53,7 +54,7 @@ func TestMemoCountersAndExactness(t *testing.T) {
 func BenchmarkSearchAllocs(b *testing.B) {
 	rng := rand.New(rand.NewSource(125))
 	ds := testutil.RandDataset(rng, 1000, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 3, 20, params)
 	if err := q.Validate(ds); err != nil {

@@ -8,6 +8,7 @@ import (
 	"spatialseq/internal/algo/brute"
 	"spatialseq/internal/algo/lora"
 	"spatialseq/internal/geo"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/roadnet"
 	"spatialseq/internal/testutil"
@@ -37,7 +38,7 @@ func TestRoadMetricExactness(t *testing.T) {
 	metric := roadMetric(t)
 	for trial := 0; trial < 4; trial++ {
 		ds := testutil.RandDataset(rng, 50, 3, 4, 100)
-		ix := buildIndex(ds)
+		ix := partition.NewIndex(ds)
 		params := query.Params{K: 4, Alpha: 0.5, Beta: 2.5, GridD: 4, Xi: 10}
 		q := testutil.RandQuery(rng, ds, 3, 30, params)
 		q.Example.Metric = metric
@@ -59,7 +60,7 @@ func TestRoadMetricLORAUpperBoundedByExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(112))
 	metric := roadMetric(t)
 	ds := testutil.RandDataset(rng, 80, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 4, Alpha: 0.5, Beta: 2.5, GridD: 4, Xi: -1}
 	q := testutil.RandQuery(rng, ds, 3, 30, params)
 	q.Example.Metric = metric
@@ -90,7 +91,7 @@ func (halfMetric) DominatesEuclidean() bool    { return false }
 func TestNonDominatingMetricStaysExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	ds := testutil.RandDataset(rng, 60, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 4, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 3, 30, params)
 	q.Example.Metric = halfMetric{}

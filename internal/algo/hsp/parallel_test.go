@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spatialseq/internal/algo/brute"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/testutil"
 )
@@ -16,7 +17,7 @@ func TestParallelExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(121))
 	for trial := 0; trial < 5; trial++ {
 		ds := testutil.RandDataset(rng, 300, 3, 4, 100)
-		ix := buildIndex(ds)
+		ix := partition.NewIndex(ds)
 		params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 		q := testutil.RandQuery(rng, ds, 3, 20, params)
 		if err := q.Validate(ds); err != nil {
@@ -38,7 +39,7 @@ func TestParallelExactness(t *testing.T) {
 func TestParallelCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(122))
 	ds := testutil.RandDataset(rng, 3000, 2, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 9, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 4, 60, params)
 	if err := q.Validate(ds); err != nil {
@@ -54,7 +55,7 @@ func TestParallelCancellation(t *testing.T) {
 func TestParallelWithFixedPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	ds := testutil.RandDataset(rng, 200, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 4, Alpha: 0.5, Beta: 2.0, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 3, 25, params)
 	cands := ds.CategoryObjects(q.Example.Categories[0])

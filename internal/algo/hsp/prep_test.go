@@ -29,13 +29,14 @@ func searchSequential(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Opt
 	t.Helper()
 	sctx := simil.NewContext(ds, q)
 	opt.Stats = &stats.Stats{}
-	work, bounds, err := plan(sctx, buildIndex(ds), opt)
+	ix := partition.NewIndex(ds)
+	work, bounds, err := plan(sctx, ix, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := testutil.PrepReference{Plan: opt.Stats.Snapshot(), Subs: make([]stats.Snapshot, len(work))}
 	heap := topk.New(q.Params.K)
-	w := &refWorker{s: newSearcher(context.Background(), sctx, heap, q, nil, opt), work: work, prep: prep, enum: enum, subs: ref.Subs}
+	w := &refWorker{s: newSearcher(context.Background(), sctx, heap, q, ix, nil, opt), work: work, prep: prep, enum: enum, subs: ref.Subs}
 	cut, err := sched.Run(len(work), sched.Bounds{Of: bounds, Accept: heap.WouldAccept}, 1, hspMinChunk, sched.Tuning{},
 		func() sched.Worker[prepState] { return w })
 	if err != nil {
@@ -94,8 +95,9 @@ func (w *refWorker) Chunk(p *prepState, _, _, _, _ int) error {
 }
 
 // prepareFullSort is the prep HSP ran before the region gather and
-// sortHead: every list is a scan of the subspace's points through
-// simil.Context.CandidatesBatchInto, sorted in full.
+// sortHead, with a brute scan of the category for the region's objects:
+// every list is simil.Context.CandidatesBatchInto over them, sorted in
+// full.
 func (s *searcher) prepareFullSort(p *prepState, ds *dataset.Dataset, q *query.Query, ss *partition.Subspace) (skip bool) {
 	c := s.sctx
 	if p.cands == nil {
@@ -104,9 +106,9 @@ func (s *searcher) prepareFullSort(p *prepState, ds *dataset.Dataset, q *query.Q
 	}
 	p.scored = 0
 	for d := 0; d < c.M; d++ {
-		region, source := ss.AC, ss.ACPoints
+		region := ss.AC
 		if d == 0 {
-			region, source = ss.Core, ss.CorePoints
+			region = ss.Core
 		}
 		if fixed := q.Example.FixedDim(d); fixed >= 0 {
 			if !region.Contains(ds.Loc(int(fixed))) {
@@ -114,6 +116,8 @@ func (s *searcher) prepareFullSort(p *prepState, ds *dataset.Dataset, q *query.Q
 			}
 			p.cands[d] = append(p.cands[d][:0], simil.Cand{Pos: fixed, Sim: c.AttrSim(d, fixed)})
 		} else {
+			cat := q.Example.Categories[d]
+			source := testutil.InRegion(ds, ds.CategoryObjects(cat), cat, region)
 			p.cands[d] = c.CandidatesBatchInto(p.cands[d][:0], d, source, &s.batch)
 		}
 		p.scored += int64(len(p.cands[d]))
@@ -200,7 +204,7 @@ func TestPrepMatchesFullSort(t *testing.T) {
 		for _, opt := range []Options{{}, {LooseBounds: true}, {DisablePartition: true}} {
 			want, wantWork, _ := searchFullSort(t, c.DS, c.Q, opt)
 			opt.Stats = &stats.Stats{}
-			got, err := Search(context.Background(), c.DS, buildIndex(c.DS), c.Q, opt)
+			got, err := Search(context.Background(), c.DS, partition.NewIndex(c.DS), c.Q, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", c.Name, err)
 			}
@@ -244,7 +248,7 @@ func TestStealPrepMatchesFullSort(t *testing.T) {
 		want, _, ref := searchFullSort(t, c.DS, c.Q, Options{})
 		for _, chunk := range []int{1, 0} {
 			st, tr := &stats.Stats{}, span.NewTracerLimits(1<<20, 0)
-			got, err := Search(context.Background(), c.DS, buildIndex(c.DS), c.Q,
+			got, err := Search(context.Background(), c.DS, partition.NewIndex(c.DS), c.Q,
 				Options{Parallelism: 2, Steal: sched.Tuning{ChunkSize: chunk}, Stats: st, Span: tr.Root("search")})
 			if err != nil {
 				t.Fatalf("%s: %v", c.Name, err)
@@ -266,7 +270,7 @@ func subspaceCount(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Option
 	if opt.DisablePartition {
 		radius = math.Inf(1)
 	}
-	part, err := buildIndex(ds).PartitionBucketed(radius)
+	part, err := partition.NewIndex(ds).PartitionBucketed(radius)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"spatialseq/internal/algo/brute"
 	"spatialseq/internal/algo/dfsprune"
 	"spatialseq/internal/algo/lora"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/testutil"
 )
@@ -20,7 +21,7 @@ func TestSkipPairsExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 6; trial++ {
 		ds := testutil.RandDataset(rng, 60, 3, 4, 100)
-		ix := buildIndex(ds)
+		ix := partition.NewIndex(ds)
 		params := query.Params{K: 5, Alpha: 0.5, Beta: 2.0, GridD: 4, Xi: 10}
 		q := testutil.RandQuery(rng, ds, 4, 30, params)
 		// skip (0,2) and (1,3): the pair graph stays connected (path via
@@ -53,7 +54,7 @@ func TestSkipPairsExactness(t *testing.T) {
 func TestSkipPairsLORAStaysNearExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	ds := testutil.RandDataset(rng, 120, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 2.0, GridD: 6, Xi: -1}
 	q := testutil.RandQuery(rng, ds, 3, 25, params)
 	q.Example.SkipPairs = [][2]int{{0, 2}}

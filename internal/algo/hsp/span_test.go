@@ -25,7 +25,7 @@ import (
 func TestSpanTimeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	ds := testutil.RandDataset(rng, 300, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 3, 20, params)
 	if err := q.Validate(ds); err != nil {
@@ -159,7 +159,7 @@ func checkSpanTimeline(t *testing.T, ds *dataset.Dataset, ix *partition.Index, q
 func TestSpanSequentialLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(212))
 	ds := testutil.RandDataset(rng, 200, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 4, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 3, 20, params)
 	if err := q.Validate(ds); err != nil {

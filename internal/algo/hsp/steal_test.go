@@ -7,6 +7,7 @@ import (
 
 	"spatialseq/internal/algo/brute"
 	"spatialseq/internal/algo/sched"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/testutil"
 	"spatialseq/internal/topk"
@@ -21,7 +22,7 @@ func TestStealExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	for trial := 0; trial < 4; trial++ {
 		ds := testutil.RandDataset(rng, 300, 3, 4, 100)
-		ix := buildIndex(ds)
+		ix := partition.NewIndex(ds)
 		params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 		q := testutil.RandQuery(rng, ds, 3, 20, params)
 		if err := q.Validate(ds); err != nil {
@@ -53,7 +54,7 @@ func TestStealDeterministicTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(132))
 	// Few categories and a coarse coordinate grid manufacture score ties.
 	ds := testutil.RandDataset(rng, 400, 3, 2, 10)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 8, Alpha: 0.5, Beta: 2.0, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 3, 30, params)
 	if err := q.Validate(ds); err != nil {
@@ -94,7 +95,7 @@ func TestStealDeterministicTies(t *testing.T) {
 func TestStealSingleSubspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(133))
 	ds := testutil.RandDataset(rng, 250, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 3, 20, params)
 	if err := q.Validate(ds); err != nil {
@@ -119,7 +120,7 @@ func TestStealSingleSubspace(t *testing.T) {
 func TestStealCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(134))
 	ds := testutil.RandDataset(rng, 3000, 2, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 9, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 4, 60, params)
 	if err := q.Validate(ds); err != nil {

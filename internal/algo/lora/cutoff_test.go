@@ -7,6 +7,7 @@ import (
 
 	"spatialseq/internal/algo/sched"
 	"spatialseq/internal/dataset"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/simil"
 	"spatialseq/internal/stats"
@@ -65,12 +66,13 @@ func (w perCandidateWorker) Chunk(p *prepState, _, _, _, _ int) error {
 // over the same prepared subspaces.
 func searchPerCandidate(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Options) ([]topk.Entry, stats.Snapshot) {
 	sctx := simil.NewContext(ds, q)
-	work, bounds, err := plan(sctx, buildIndex(ds), opt)
+	ix := partition.NewIndex(ds)
+	work, bounds, err := plan(sctx, ix, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	heap := topk.New(q.Params.K)
-	s := newSearcher(context.Background(), sctx, heap, q, work, opt)
+	s := newSearcher(context.Background(), sctx, heap, q, ix, work, opt)
 	if _, err := sched.Run(len(work), sched.Bounds{Of: bounds, Accept: heap.WouldAccept}, 1, 1, sched.Tuning{},
 		func() sched.Worker[prepState] { return perCandidateWorker{s} }); err != nil {
 		t.Fatal(err)
@@ -89,7 +91,7 @@ func TestCutoffMatchesPerCandidateLoop(t *testing.T) {
 		for _, opt := range []Options{{}, {PruneCellNorm: true}} {
 			want, wantWork := searchPerCandidate(t, c.DS, c.Q, opt)
 			opt.Stats = &stats.Stats{}
-			got, err := Search(context.Background(), c.DS, buildIndex(c.DS), c.Q, opt)
+			got, err := Search(context.Background(), c.DS, partition.NewIndex(c.DS), c.Q, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", c.Name, err)
 			}

@@ -82,7 +82,8 @@ type Options struct {
 	Span span.Span
 }
 
-// Search answers q approximately using the prebuilt partition index ix.
+// Search answers q approximately using ix, the partition index built
+// over ds (partition.NewIndex).
 func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *query.Query, opt Options) ([]topk.Entry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -105,7 +106,7 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	// Workers are deliberately not capped at len(work): chunked stealing
 	// lets several workers share one subspace's root cell list.
 	cut, err := sched.Run(len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, workers, 1, opt.Steal, func() sched.Worker[prepState] {
-		return newSearcher(ctx, sctx, sink, q, work, opt)
+		return newSearcher(ctx, sctx, sink, q, ix, work, opt)
 	})
 	if err != nil {
 		return nil, err
@@ -129,34 +130,19 @@ func plan(sctx *simil.Context, ix *partition.Index, opt Options) ([]*partition.S
 		Phases: planPhases, Span: opt.Span, Stats: opt.Stats})
 }
 
-func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, work []*partition.Subspace, opt Options) *searcher {
-	var groups []gatherGroup
-	dimGroup := make([]int, sctx.M)
-	for d := 1; d < sctx.M; d++ {
-		if q.Example.FixedDim(d) >= 0 {
-			continue
-		}
-		cat := q.Example.Categories[d]
-		gi := slices.IndexFunc(groups, func(g gatherGroup) bool { return g.cat == cat })
-		if gi < 0 {
-			gi = len(groups)
-			groups = append(groups, gatherGroup{cat: cat})
-		}
-		dimGroup[d] = gi
-	}
+func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, ix *partition.Index, work []*partition.Subspace, opt Options) *searcher {
 	return &searcher{
-		ctx:      ctx,
-		sctx:     sctx,
-		heap:     sink,
-		q:        q,
-		work:     work,
-		opt:      opt,
-		st:       opt.Stats,
-		tuple:    make([]int32, sctx.M),
-		asims:    make([]float64, sctx.M),
-		dist:     make([]float64, 0, sctx.Pairs),
-		groups:   groups,
-		dimGroup: dimGroup,
+		ctx:   ctx,
+		sctx:  sctx,
+		heap:  sink,
+		q:     q,
+		ix:    ix,
+		work:  work,
+		opt:   opt,
+		st:    opt.Stats,
+		tuple: make([]int32, sctx.M),
+		asims: make([]float64, sctx.M),
+		dist:  make([]float64, 0, sctx.Pairs),
 	}
 }
 
@@ -239,6 +225,7 @@ type searcher struct {
 	sctx  *simil.Context
 	heap  topk.Sink
 	q     *query.Query
+	ix    *partition.Index
 	work  []*partition.Subspace
 	opt   Options
 	st    *stats.Stats
@@ -255,13 +242,10 @@ type searcher struct {
 	cellLists  [][]scoredCell
 	rbarSuffix []float64
 
-	// bucketing scratch: dimension 0's category-filtered core points, the
-	// gather groups of the free dimensions >= 1 (dimGroup[d] indexes
-	// dimension d's), and the blocked attribute sims
-	posBuf   []int32
-	groups   []gatherGroup
-	dimGroup []int
-	simBuf   []float64
+	// bucketing scratch: one dimension's gathered candidates and their
+	// blocked attribute sims
+	posBuf []int32
+	simBuf []float64
 
 	// enumeration scratch (per-searcher, reused across cell tuples)
 	cellTuple  []int
@@ -287,13 +271,6 @@ func (s *searcher) attach(p *prepState) {
 		s.cellTuple = make([]int, m)
 		s.simScratch = make([][]float64, m)
 	}
-}
-
-// gatherGroup holds one subspace's ac points of one example category,
-// shared by every free dimension >= 1 of that category.
-type gatherGroup struct {
-	cat dataset.CategoryID
-	pos []int32
 }
 
 type scoredCell struct {
@@ -398,14 +375,13 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 	}
 
 	xi := s.q.Params.Xi
-	gathered := false
 	for d := 0; d < m; d++ {
+		region := ss.AC
+		if d == 0 {
+			region = ss.Core
+		}
 		if fixed := s.q.Example.FixedDim(d); fixed >= 0 {
 			loc := c.DS.Loc(int(fixed))
-			region := ss.AC
-			if d == 0 {
-				region = ss.Core
-			}
 			if !region.Contains(loc) {
 				return true, nil // subspace cannot host the pinned object
 			}
@@ -415,24 +391,9 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: p.buckets[d][cell][0].Sim})
 			continue
 		}
-		var pos []int32
-		if d == 0 {
-			pos = s.posBuf[:0]
-			cat := c.Ex.Categories[0]
-			for _, ps := range ss.CorePoints {
-				if c.DS.Category(int(ps)) == cat {
-					pos = append(pos, ps)
-				}
-			}
-			s.posBuf = pos
-		} else {
-			if !gathered {
-				s.gatherAC(ss.ACPoints)
-				gathered = true
-			}
-			pos = s.groups[s.dimGroup[d]].pos
-		}
-		// Blocked batch scoring: score the category survivors with one
+		pos := s.ix.Gather(s.posBuf[:0], c.Ex.Categories[d], region)
+		s.posBuf = pos
+		// Blocked batch scoring: score the candidates with one
 		// AttrSimBatch sweep, then bucket by cell, each bucket's maximum
 		// first. Same candidate order, sims and counters as the scalar
 		// loop.
@@ -482,27 +443,6 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 		s.sampleReachable(p)
 	}
 	return false, nil
-}
-
-// gatherAC makes one pass over a subspace's ac points, reads each
-// point's category once, and appends the point to the gather group of
-// that category: the candidates of every free dimension >= 1 whose
-// example category it is, in ACPoints order.
-func (s *searcher) gatherAC(points []int32) {
-	groups := s.groups
-	for i := range groups {
-		groups[i].pos = groups[i].pos[:0]
-	}
-	ds := s.sctx.DS
-	for _, ps := range points {
-		cat := ds.Category(int(ps))
-		for i := range groups {
-			if groups[i].cat == cat {
-				groups[i].pos = append(groups[i].pos, ps)
-				break
-			}
-		}
-	}
 }
 
 // sampleReachable applies Point-Sample (Algorithm 6) to the buckets the

@@ -8,16 +8,14 @@ import (
 
 	"spatialseq/internal/algo/brute"
 	"spatialseq/internal/geo"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/testutil"
 	"spatialseq/internal/topk"
 )
 
-// buildIndex and simsOf are the shared helpers from internal/testutil.
-var (
-	buildIndex = testutil.BuildIndex
-	simsOf     = testutil.Sims
-)
+// simsOf is the shared helper from internal/testutil.
+var simsOf = testutil.Sims
 
 // TestTheorem3Bound verifies the paper's accuracy guarantee: with sampling
 // disabled, each of LORA's top-k similarities is within the
@@ -29,7 +27,7 @@ func TestTheorem3Bound(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 10; trial++ {
 		ds := testutil.RandDataset(rng, 150, 3, 4, 100)
-		ix := buildIndex(ds)
+		ix := partition.NewIndex(ds)
 		params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 5, Xi: -1} // Xi<0: no sampling
 		q := testutil.RandQuery(rng, ds, 3, 25, params)
 		if err := q.Validate(ds); err != nil {
@@ -81,7 +79,7 @@ func TestAccuracyImprovesWithD(t *testing.T) {
 	trials := 12
 	for trial := 0; trial < trials; trial++ {
 		ds := testutil.RandDataset(rng, 200, 3, 4, 100)
-		ix := buildIndex(ds)
+		ix := partition.NewIndex(ds)
 		base := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 1, Xi: 5}
 		q := testutil.RandQuery(rng, ds, 3, 25, base)
 		if err := q.Validate(ds); err != nil {
@@ -126,7 +124,7 @@ func TestQueryDependentBeatsRandomSampling(t *testing.T) {
 	var qd, rnd float64
 	for trial := 0; trial < 15; trial++ {
 		ds := testutil.RandDataset(rng, 300, 2, 4, 60)
-		ix := buildIndex(ds)
+		ix := partition.NewIndex(ds)
 		params := query.Params{K: 5, Alpha: 0.2, Beta: 3, GridD: 2, Xi: 1}
 		q := testutil.RandQuery(rng, ds, 2, 15, params)
 		if err := q.Validate(ds); err != nil {
@@ -158,7 +156,7 @@ func TestQueryDependentBeatsRandomSampling(t *testing.T) {
 func TestResultsSatisfyNormConstraint(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	ds := testutil.RandDataset(rng, 300, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 8, Alpha: 0.5, Beta: 1.3, GridD: 5, Xi: 10}
 	for trial := 0; trial < 6; trial++ {
 		q := testutil.RandQuery(rng, ds, 3, 20, params)
@@ -193,7 +191,7 @@ func TestCellNormFilterPreservesResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for trial := 0; trial < 8; trial++ {
 		ds := testutil.RandDataset(rng, 250, 3, 4, 100)
-		ix := buildIndex(ds)
+		ix := partition.NewIndex(ds)
 		params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 		q := testutil.RandQuery(rng, ds, 3, 25, params)
 		if err := q.Validate(ds); err != nil {
@@ -225,7 +223,7 @@ func TestFixedPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for trial := 0; trial < 6; trial++ {
 		ds := testutil.RandDataset(rng, 200, 3, 4, 100)
-		ix := buildIndex(ds)
+		ix := partition.NewIndex(ds)
 		params := query.Params{K: 4, Alpha: 0.5, Beta: 2.5, GridD: 4, Xi: 10}
 		q := testutil.RandQuery(rng, ds, 3, 25, params)
 		cands := ds.CategoryObjects(q.Example.Categories[1])
@@ -252,7 +250,7 @@ func TestFixedPoints(t *testing.T) {
 func TestSEQVariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	ds := testutil.RandDataset(rng, 150, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 6, Xi: -1}
 	q := testutil.RandQuery(rng, ds, 3, 25, params)
 	q.Variant = query.SEQ
@@ -279,7 +277,7 @@ func TestSEQVariant(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	ds := testutil.RandDataset(rng, 5000, 2, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 9, GridD: 10, Xi: 50}
 	q := testutil.RandQuery(rng, ds, 4, 80, params)
 	if err := q.Validate(ds); err != nil {

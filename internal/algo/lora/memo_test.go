@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/stats"
 	"spatialseq/internal/testutil"
@@ -19,7 +20,7 @@ import (
 func TestMemoCountersAndDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(126))
 	ds := testutil.RandDataset(rng, 300, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 3, 20, params)
 	if err := q.Validate(ds); err != nil {
@@ -64,7 +65,7 @@ func TestMemoCountersAndDeterminism(t *testing.T) {
 func BenchmarkSearchAllocs(b *testing.B) {
 	rng := rand.New(rand.NewSource(127))
 	ds := testutil.RandDataset(rng, 1000, 3, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 3, 20, params)
 	if err := q.Validate(ds); err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"spatialseq/internal/algo/sched"
 	"spatialseq/internal/dataset"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/simil"
 	"spatialseq/internal/stats"
@@ -22,11 +23,12 @@ import (
 func searchIndexOrder(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Options) ([]topk.Entry, int64, bool) {
 	t.Helper()
 	sctx := simil.NewContext(ds, q)
-	work, _, err := sctx.Plan(buildIndex(ds), simil.PlanSpec{Radius: sctx.PartitionRadius()})
+	ix := partition.NewIndex(ds)
+	work, _, err := sctx.Plan(ix, simil.PlanSpec{Radius: sctx.PartitionRadius()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, _, err := plan(simil.NewContext(ds, q), buildIndex(ds), opt)
+	planned, _, err := plan(simil.NewContext(ds, q), ix, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func searchIndexOrder(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Opt
 		sink = topk.NewConcurrent(q.Params.K)
 	}
 	_, err = sched.Run(len(work), sched.Bounds{}, opt.Parallelism, 1, opt.Steal, func() sched.Worker[prepState] {
-		return newSearcher(context.Background(), sctx, sink, q, work, opt)
+		return newSearcher(context.Background(), sctx, sink, q, ix, work, opt)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +68,7 @@ func TestOrderInvariance(t *testing.T) {
 					reordered++
 				}
 				opt.Stats = &stats.Stats{}
-				got, err := Search(context.Background(), c.DS, buildIndex(c.DS), c.Q, opt)
+				got, err := Search(context.Background(), c.DS, partition.NewIndex(c.DS), c.Q, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", c.Name, err)
 				}

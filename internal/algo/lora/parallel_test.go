@@ -7,6 +7,7 @@ import (
 
 	"spatialseq/internal/algo/brute"
 	"spatialseq/internal/geo"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/testutil"
 )
@@ -18,7 +19,7 @@ func TestParallelValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	for trial := 0; trial < 4; trial++ {
 		ds := testutil.RandDataset(rng, 400, 3, 4, 100)
-		ix := buildIndex(ds)
+		ix := partition.NewIndex(ds)
 		params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 		q := testutil.RandQuery(rng, ds, 3, 20, params)
 		if err := q.Validate(ds); err != nil {
@@ -48,7 +49,7 @@ func TestParallelValidity(t *testing.T) {
 func TestParallelCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(132))
 	ds := testutil.RandDataset(rng, 4000, 2, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 9, GridD: 8, Xi: 50}
 	q := testutil.RandQuery(rng, ds, 4, 60, params)
 	if err := q.Validate(ds); err != nil {

@@ -20,10 +20,12 @@ import (
 	"spatialseq/internal/topk"
 )
 
-// prepareFullSort is the prep LORA ran before the one-pass gather and
-// reachable-only sampling: each dimension filters its category from the
-// subspace's points in its own pass, and every bucket is sorted in full
-// and cut to its top xi (with RandomSample: shuffled, cut and sorted).
+// prepareFullSort is the prep LORA ran before the region gather and
+// reachable-only sampling: each dimension scans its category for the
+// objects its region holds, and every bucket is sorted in full and cut
+// to its top xi (with RandomSample: shuffled, cut and sorted). The scan
+// runs over the category in the index's path order, the order Search
+// gathers in, which RandomSample's shuffle follows.
 func (s *searcher) prepareFullSort(p *prepState, ss *partition.Subspace) (skip bool, err error) {
 	c := s.sctx
 	m := c.M
@@ -48,12 +50,12 @@ func (s *searcher) prepareFullSort(p *prepState, ss *partition.Subspace) (skip b
 		p.cellLists[d] = p.cellLists[d][:0]
 	}
 	for d := 0; d < m; d++ {
+		region := ss.AC
+		if d == 0 {
+			region = ss.Core
+		}
 		if fixed := s.q.Example.FixedDim(d); fixed >= 0 {
 			loc := c.DS.Loc(int(fixed))
-			region := ss.AC
-			if d == 0 {
-				region = ss.Core
-			}
 			if !region.Contains(loc) {
 				return true, nil
 			}
@@ -63,16 +65,8 @@ func (s *searcher) prepareFullSort(p *prepState, ss *partition.Subspace) (skip b
 			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: p.buckets[d][cell][0].Sim})
 			continue
 		}
-		source := ss.ACPoints
-		if d == 0 {
-			source = ss.CorePoints
-		}
-		var pos []int32
-		for _, ps := range source {
-			if c.DS.Category(int(ps)) == c.Ex.Categories[d] {
-				pos = append(pos, ps)
-			}
-		}
+		cat := c.Ex.Categories[d]
+		pos := testutil.InRegion(c.DS, s.ix.Gather(nil, cat, c.DS.Bounds()), cat, region)
 		s.local.candidates += int64(len(pos))
 		s.local.scored += int64(len(pos))
 		sims := make([]float64, len(pos))
@@ -154,13 +148,14 @@ func searchFullSort(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Optio
 	t.Helper()
 	sctx := simil.NewContext(ds, q)
 	opt.Stats = &stats.Stats{}
-	work, bounds, err := plan(sctx, buildIndex(ds), opt)
+	ix := partition.NewIndex(ds)
+	work, bounds, err := plan(sctx, ix, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := testutil.PrepReference{Plan: opt.Stats.Snapshot(), Subs: make([]stats.Snapshot, len(work))}
 	sink := topk.New(q.Params.K)
-	w := fullSortWorker{newSearcher(context.Background(), sctx, sink, q, work, opt), ref.Subs}
+	w := fullSortWorker{newSearcher(context.Background(), sctx, sink, q, ix, work, opt), ref.Subs}
 	cut, err := sched.Run(len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, 1, 1, sched.Tuning{},
 		func() sched.Worker[prepState] { return w })
 	if err != nil {
@@ -213,13 +208,14 @@ func bucketLen(s *searcher, p *prepState, ss *partition.Subspace, d, cell int) i
 	if s.q.Example.FixedDim(d) >= 0 {
 		return 1
 	}
-	source := ss.ACPoints
+	region := ss.AC
 	if d == 0 {
-		source = ss.CorePoints
+		region = ss.Core
 	}
+	ds, cat := s.sctx.DS, s.q.Example.Categories[d]
 	n := 0
-	for _, ps := range source {
-		if s.sctx.DS.Category(int(ps)) == s.q.Example.Categories[d] && p.g.Cell(s.sctx.DS.Loc(int(ps))) == cell {
+	for _, ps := range testutil.InRegion(ds, ds.CategoryObjects(cat), cat, region) {
+		if p.g.Cell(ds.Loc(int(ps))) == cell {
 			n++
 		}
 	}
@@ -281,8 +277,8 @@ func rareDataset(rng *rand.Rand, n int) *dataset.Dataset {
 	return ds
 }
 
-// TestPrepMatchesFullSort holds Search to the per-dimension gather and
-// full-sort sampling that the one-pass gather and reachable-only
+// TestPrepMatchesFullSort holds Search to a per-dimension brute scan and
+// the full-sort sampling that the region gather and reachable-only
 // selection replaced, sequentially under the paper's LORA,
 // PruneCellNorm and RandomSample, and at Parallelism 2: bit-identical
 // answers, and each prepared subspace's counters exactly
@@ -303,7 +299,7 @@ func TestPrepMatchesFullSort(t *testing.T) {
 			want, wantWork, ref := searchFullSort(t, c.DS, c.Q, seq)
 			st, tr := &stats.Stats{}, span.NewTracerLimits(1<<20, 0)
 			opt.Stats, opt.Span = st, tr.Root("search")
-			got, err := Search(context.Background(), c.DS, buildIndex(c.DS), c.Q, opt)
+			got, err := Search(context.Background(), c.DS, partition.NewIndex(c.DS), c.Q, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", c.Name, err)
 			}
@@ -331,11 +327,12 @@ func TestPrepMatchesFullSort(t *testing.T) {
 // every prepared subspace.
 func (pr *prepProbe) run(t *testing.T, c testutil.ShapedQuery) {
 	sctx := simil.NewContext(c.DS, c.Q)
-	part, err := buildIndex(c.DS).PartitionBucketed(sctx.PartitionRadius())
+	ix := partition.NewIndex(c.DS)
+	part, err := ix.PartitionBucketed(sctx.PartitionRadius())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, p := newSearcher(context.Background(), sctx, topk.New(c.Q.Params.K), c.Q, nil, Options{}), new(prepState)
+	s, p := newSearcher(context.Background(), sctx, topk.New(c.Q.Params.K), c.Q, ix, nil, Options{}), new(prepState)
 	for i := range part.Subspaces {
 		scored := s.local.candidates
 		skip, err := s.prepareInto(p, &part.Subspaces[i])

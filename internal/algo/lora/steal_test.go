@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"spatialseq/internal/algo/sched"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/simil"
 	"spatialseq/internal/testutil"
@@ -28,7 +29,7 @@ func TestStealValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
 	for trial := 0; trial < 4; trial++ {
 		ds := testutil.RandDataset(rng, 400, 3, 4, 100)
-		ix := buildIndex(ds)
+		ix := partition.NewIndex(ds)
 		params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 		q := testutil.RandQuery(rng, ds, 3, 20, params)
 		if err := q.Validate(ds); err != nil {
@@ -78,7 +79,7 @@ func TestStealValidity(t *testing.T) {
 func TestStealCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(142))
 	ds := testutil.RandDataset(rng, 4000, 2, 4, 100)
-	ix := buildIndex(ds)
+	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 9, GridD: 8, Xi: 50}
 	q := testutil.RandQuery(rng, ds, 4, 60, params)
 	if err := q.Validate(ds); err != nil {

@@ -2,9 +2,11 @@
 // that validates a query, picks (or is told) an algorithm, runs it against
 // a shared immutable dataset, and returns scored, ranked tuples.
 //
-// An Engine is built once per dataset; the partition index (an STR R-tree
-// over the point locations) is shared by all queries and all algorithms.
-// Engines are safe for concurrent Search calls.
+// An Engine is built once per dataset; the partition index (the dataset's
+// positions ordered along the midpoint split tree, see partition.Index)
+// is shared by all queries and all algorithms, and answers Snap's
+// nearest-object searches too. Engines are safe for concurrent Search
+// calls.
 package core
 
 import (
@@ -145,11 +147,7 @@ type Engine struct {
 
 // NewEngine builds the engine and its shared spatial index.
 func NewEngine(ds *dataset.Dataset) *Engine {
-	pts := make([]geo.Point, ds.Len())
-	for i := range pts {
-		pts[i] = ds.Loc(i)
-	}
-	return &Engine{ds: ds, pix: partition.NewIndex(pts)}
+	return &Engine{ds: ds, pix: partition.NewIndex(ds)}
 }
 
 // Dataset returns the engine's dataset.
@@ -335,22 +333,17 @@ type SnapResult struct {
 	Dist float64
 }
 
-// Snap returns the k dataset objects nearest to p, optionally restricted
-// to one category (pass dataset.NoCategory for no restriction). It backs
-// the "example selection" interaction of the paper's Fig. 2: the user
-// clicks map positions and the service snaps each click to a real object
-// whose category and attributes seed the example.
+// Snap returns the k dataset objects nearest to p, by distance and then
+// position, optionally restricted to one category (pass
+// dataset.NoCategory for no restriction). It backs the "example
+// selection" interaction of the paper's Fig. 2: the user clicks map
+// positions and the service snaps each click to a real object whose
+// category and attributes seed the example.
 func (e *Engine) Snap(p geo.Point, cat dataset.CategoryID, k int) []SnapResult {
-	var filter func(int32) bool
-	if cat != dataset.NoCategory {
-		filter = func(ref int32) bool {
-			return e.ds.Category(int(ref)) == cat
-		}
-	}
-	nbs := e.pix.Tree().Nearest(p, k, filter)
+	nbs := e.pix.Nearest(p, k, cat)
 	out := make([]SnapResult, len(nbs))
 	for i, nb := range nbs {
-		out[i] = SnapResult{Position: nb.Ref, Dist: nb.Dist}
+		out[i] = SnapResult{Position: nb.Pos, Dist: nb.Dist}
 	}
 	return out
 }

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"spatialseq/internal/dataset"
+	"spatialseq/internal/geo"
 	"spatialseq/internal/query"
 	"spatialseq/internal/testutil"
 )
@@ -159,5 +163,33 @@ func TestSearchTimeout(t *testing.T) {
 	defer cancel()
 	if _, err := eng.Search(ctx, &qq, DFSPrune, Options{}); err == nil {
 		t.Error("expired context should abort")
+	}
+}
+
+// TestSnapMatchesBrute holds Snap to a brute ranking by distance and
+// then position, on a tie-grid corpus whose objects share locations, with
+// and without a category filter.
+func TestSnapMatchesBrute(t *testing.T) {
+	ds := testutil.TieGridQueries()[0].DS
+	eng := NewEngine(ds)
+	rng := rand.New(rand.NewSource(82))
+	for i := 0; i < 20; i++ {
+		p := geo.Point{X: float64(rng.Intn(27)) - 1, Y: rng.Float64() * 25}
+		for _, cat := range []dataset.CategoryID{dataset.NoCategory, 0, 1} {
+			var all []SnapResult
+			for pos := 0; pos < ds.Len(); pos++ {
+				if cat == dataset.NoCategory || ds.Category(pos) == cat {
+					all = append(all, SnapResult{Position: int32(pos), Dist: ds.Loc(pos).Dist(p)})
+				}
+			}
+			slices.SortFunc(all, func(a, b SnapResult) int {
+				return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Position, b.Position))
+			})
+			for _, k := range []int{1, 7, 40} {
+				if got := eng.Snap(p, cat, k); !slices.Equal(got, all[:k]) {
+					t.Fatalf("snap %v category %d k %d: %v, brute %v", p, cat, k, got, all[:k])
+				}
+			}
+		}
 	}
 }

@@ -1,38 +1,49 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// BenchmarkPartition measures the per-query cost of the hierarchical
-// split, which every HSP/LORA query pays.
-func BenchmarkPartition(b *testing.B) {
+// benchIndex indexes 100,000 uniform points over a 400 x 400 square in
+// 20 categories.
+func benchIndex(b *testing.B) *Index {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{10000, 100000} {
-		pts := randPoints(rng, n, 400)
-		ix := NewIndex(pts)
-		for _, radius := range []float64{10, 40} {
-			b.Run(benchName(n, radius), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := ix.Partition(radius); err != nil {
-						b.Fatal(err)
-					}
+	return NewIndex(pointsDataset(b, randPoints(rng, 100000, 400), 20))
+}
+
+// BenchmarkPartition measures a partition build, which a query pays
+// when its radius bucket is not cached: a walk of the index that counts
+// the cores, and one that fills them. A radius of 2 gives about 70,000
+// cores, one of 40 about 290.
+func BenchmarkPartition(b *testing.B) {
+	ix := benchIndex(b)
+	for _, radius := range []float64{2, 40} {
+		b.Run(fmt.Sprintf("n=100k/r=%g", radius), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ix.Partition(radius); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-func benchName(n int, radius float64) string {
-	switch {
-	case n == 10000 && radius == 10:
-		return "n=10k/r=10"
-	case n == 10000:
-		return "n=10k/r=40"
-	case radius == 10:
-		return "n=100k/r=10"
-	default:
-		return "n=100k/r=40"
+// BenchmarkGather gathers one category over every ac rectangle of the
+// radius-10 partition, as the candidate lists of a query that searches
+// every subspace do.
+func BenchmarkGather(b *testing.B) {
+	ix := benchIndex(b)
+	part, err := ix.Partition(10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var dst []int32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range part.Subspaces {
+			dst = ix.Gather(dst[:0], 3, part.Subspaces[j].AC)
+		}
 	}
 }

@@ -9,8 +9,7 @@ import (
 
 func TestBucketedRoundsUp(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	pts := randPoints(rng, 300, 100)
-	ix := NewIndex(pts)
+	ix := newIndex(t, randPoints(rng, 300, 100))
 	for _, radius := range []float64{0.5, 3, 7.7, 42, 99} {
 		p, err := ix.PartitionBucketed(radius)
 		if err != nil {
@@ -33,8 +32,7 @@ func TestBucketedRoundsUp(t *testing.T) {
 
 func TestBucketedSharesAcrossSimilarRadii(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	pts := randPoints(rng, 500, 100)
-	ix := NewIndex(pts)
+	ix := newIndex(t, randPoints(rng, 500, 100))
 	a, err := ix.PartitionBucketed(10.0)
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +58,7 @@ func TestBucketedSharesAcrossSimilarRadii(t *testing.T) {
 
 func TestBucketedInfiniteRadius(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	pts := randPoints(rng, 100, 50)
-	ix := NewIndex(pts)
+	ix := newIndex(t, randPoints(rng, 100, 50))
 	a, err := ix.PartitionBucketed(math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +77,7 @@ func TestBucketedInfiniteRadius(t *testing.T) {
 
 func TestBucketedInvalidRadius(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
-	ix := NewIndex(randPoints(rng, 10, 10))
+	ix := newIndex(t, randPoints(rng, 10, 10))
 	for _, r := range []float64{0, -3, math.NaN()} {
 		if _, err := ix.PartitionBucketed(r); err == nil {
 			t.Errorf("radius %g should be rejected", r)
@@ -90,8 +87,7 @@ func TestBucketedInvalidRadius(t *testing.T) {
 
 func TestBucketedEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	pts := randPoints(rng, 100, 100)
-	ix := NewIndex(pts)
+	ix := newIndex(t, randPoints(rng, 100, 100))
 	for i := 0; i < cacheCap*3; i++ {
 		radius := math.Pow(bucketFactor, float64(i+1))
 		if _, err := ix.PartitionBucketed(radius); err != nil {
@@ -105,8 +101,7 @@ func TestBucketedEviction(t *testing.T) {
 
 func TestBucketedConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	pts := randPoints(rng, 1000, 100)
-	ix := NewIndex(pts)
+	ix := newIndex(t, randPoints(rng, 1000, 100))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

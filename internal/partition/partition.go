@@ -10,17 +10,28 @@
 // contain every CSEQ-valid tuple whose first point lies in the core
 // (no valid tuple has two points farther apart than beta*||V_t*||).
 //
+// Every split is a fixed midpoint of one bounding box, so every core at
+// every radius is a node of one midpoint tree. The Index orders the
+// dataset's positions, and each category's positions apart, along that
+// tree once, so the objects of any node, all of them or one category's,
+// form one contiguous run. A core's points are a view of its run, and
+// Gather returns a category's objects in any rectangle as the runs of the
+// nodes the rectangle covers plus the filtered runs of the nodes it cuts.
+//
 // Lemma 1 discipline: algorithms enumerate a tuple only inside the
 // ac-subspace whose core contains the tuple's first point, so every
 // candidate is enumerated exactly once across all subspaces.
 package partition
 
 import (
+	"cmp"
+	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 
+	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
-	"spatialseq/internal/rtree"
 )
 
 // Subspace is one core subspace plus its surrounding auxiliary band.
@@ -32,10 +43,13 @@ type Subspace struct {
 	// the data bounds (points only exist inside the bounds, so clipping
 	// loses no candidates).
 	AC geo.Rect
-	// CorePoints are dataset positions of points inside Core.
+	// CorePoints are dataset positions of points inside Core: a view of
+	// the core's run in the index, which callers must not modify.
 	CorePoints []int32
-	// ACPoints are dataset positions of points inside AC (a superset of
-	// CorePoints).
+	// ACPoints is never filled: a region's objects come from
+	// Index.Gather. The field stays only because the benchmark's traced
+	// ledger still reads it; that ledger's rewrite (ROADMAP item 2)
+	// deletes it.
 	ACPoints []int32
 }
 
@@ -48,114 +62,101 @@ type Partition struct {
 	Bounds geo.Rect
 }
 
-// Index wraps the per-dataset immutable state needed to partition: the
-// point locations and an R-tree over them. Build it once per dataset and
-// reuse it across queries (the partition itself depends on the query
-// radius, the index does not).
+// Index holds the dataset's positions in path order: the order of a
+// depth-first walk of the midpoint tree, low half before high half. It
+// stores no keys: a node's run splits into its halves by a binary search
+// on the split test itself (see cut). Build it once per dataset and reuse
+// it across queries (the partition depends on the query radius, the
+// index does not).
 type Index struct {
-	pts   []geo.Point
-	tree  *rtree.Tree
-	cache partitionCache
+	xs, ys []float64 // the dataset's coordinate slices, read, not copied
+	bounds geo.Rect
+	// all holds every position in path order; byCat holds each
+	// category's positions in path order, category c's run being
+	// byCat[catOff[c]:catOff[c+1]].
+	all, byCat []int32
+	catOff     []int32
+	cache      partitionCache
 }
 
-// NewIndex builds the partitioning index over the given point locations.
-// pts[i] must be the location of dataset object i.
-func NewIndex(pts []geo.Point) *Index {
-	return &Index{pts: pts, tree: rtree.New(pts, nil)}
+// NewIndex orders ds's positions along the midpoint tree over its bounds.
+func NewIndex(ds *dataset.Dataset) *Index {
+	xs, ys := ds.Coords()
+	ix := &Index{xs: xs, ys: ys, bounds: ds.Bounds()}
+	pts := make([]pathPoint, ds.Len())
+	for i := range pts {
+		pts[i] = pathPoint{xs[i], ys[i], int32(i)}
+	}
+	order(pts, ix.bounds, 0)
+	ix.all = make([]int32, len(pts))
+	for i, p := range pts {
+		ix.all[i] = p.pos
+	}
+	// A counting sort by category keeps path order within each category,
+	// and a subsequence of a path-ordered run is path-ordered.
+	ix.catOff = make([]int32, ds.NumCategories()+1)
+	for _, pos := range ix.all {
+		ix.catOff[ds.Category(int(pos))+1]++
+	}
+	for c := 1; c < len(ix.catOff); c++ {
+		ix.catOff[c] += ix.catOff[c-1]
+	}
+	next := append([]int32(nil), ix.catOff[:len(ix.catOff)-1]...)
+	ix.byCat = make([]int32, len(pts))
+	for _, pos := range ix.all {
+		c := ds.Category(int(pos))
+		ix.byCat[next[c]] = pos
+		next[c]++
+	}
+	return ix
 }
 
-// NumPoints returns the number of indexed points.
-func (ix *Index) NumPoints() int { return len(ix.pts) }
-
-// Bounds returns the bounding rectangle of the indexed points.
-func (ix *Index) Bounds() geo.Rect { return ix.tree.Bounds() }
-
-// Tree exposes the underlying R-tree for callers that need raw range
-// queries (e.g. CSEQ-FP subspace filtering).
-func (ix *Index) Tree() *rtree.Tree { return ix.tree }
-
-// Partition divides the data space for the query radius
-// radius = beta*||V_t*||. With radius = +Inf (the SEQ relaxation) the whole
-// space is a single core subspace with an empty auxiliary band. A zero or
-// negative radius is rejected: it would admit no tuple with two distinct
-// locations, and the split recursion below would not terminate.
-func (ix *Index) Partition(radius float64) (*Partition, error) {
-	if len(ix.pts) == 0 {
-		return &Partition{Radius: radius, Bounds: geo.EmptyRect()}, nil
-	}
-	if math.IsNaN(radius) || radius <= 0 {
-		return nil, fmt.Errorf("partition: radius must be positive, got %g", radius)
-	}
-	bounds := ix.tree.Bounds()
-	p := &Partition{Radius: radius, Bounds: bounds}
-	if math.IsInf(radius, 1) {
-		all := ix.tree.Search(bounds, nil)
-		p.Subspaces = []Subspace{{
-			Core:       bounds,
-			AC:         bounds,
-			CorePoints: all,
-			ACPoints:   all,
-		}}
-		return p, nil
-	}
-	// The split recursion redistributes this positions array in place, so
-	// each leaf's CorePoints slice is a view into it: one O(n) allocation
-	// per query instead of one R-tree range query per core subspace.
-	positions := make([]int32, len(ix.pts))
-	for i := range positions {
-		positions[i] = int32(i)
-	}
-	var scratch []int32
-	ix.split(positions, bounds, 0, radius, p, &scratch)
-	return p, nil
+// pathPoint is one point of the build: its coordinates beside its
+// position, so the split recursion reads contiguous memory.
+type pathPoint struct {
+	x, y float64
+	pos  int32
 }
 
-// split recursively divides rect, alternating the split axis per level,
-// collecting non-empty leaves whose diagonal is below the radius.
-// positions must hold exactly the points inside rect and is reordered in
-// place so each half receives a contiguous sub-slice. Each leaf's ac
-// points are searched into *scratch, which the whole build reuses, and
-// copied out at exact length.
-func (ix *Index) split(positions []int32, rect geo.Rect, level int, radius float64, p *Partition, scratch *[]int32) {
-	if len(positions) == 0 {
-		return
-	}
-	if rect.Diagonal() < radius || degenerate(rect) {
-		ac := rect.Inflate(radius).Intersect(p.Bounds)
-		*scratch = ix.tree.Search(ac, (*scratch)[:0])
-		p.Subspaces = append(p.Subspaces, Subspace{
-			Core:       rect,
-			AC:         ac,
-			CorePoints: positions,
-			ACPoints:   append(make([]int32, 0, len(*scratch)), *scratch...),
-		})
-		return
-	}
-	var left, right geo.Rect
-	var inLeft func(geo.Point) bool
-	if level%2 == 0 { // split the horizontal dimension (vertical cut line)
-		mid := (rect.MinX + rect.MaxX) / 2
-		left = geo.Rect{MinX: rect.MinX, MinY: rect.MinY, MaxX: mid, MaxY: rect.MaxY}
-		right = geo.Rect{MinX: math.Nextafter(mid, math.Inf(1)), MinY: rect.MinY, MaxX: rect.MaxX, MaxY: rect.MaxY}
-		inLeft = func(pt geo.Point) bool { return pt.X <= mid }
-	} else { // split the vertical dimension (horizontal cut line)
-		mid := (rect.MinY + rect.MaxY) / 2
-		left = geo.Rect{MinX: rect.MinX, MinY: rect.MinY, MaxX: rect.MaxX, MaxY: mid}
-		right = geo.Rect{MinX: rect.MinX, MinY: math.Nextafter(mid, math.Inf(1)), MaxX: rect.MaxX, MaxY: rect.MaxY}
-		inLeft = func(pt geo.Point) bool { return pt.Y <= mid }
-	}
-	// Hoare-style partition of positions by side of the cut line.
-	lo, hi := 0, len(positions)
-	for lo < hi {
-		if inLeft(ix.pts[positions[lo]]) {
-			lo++
-		} else {
-			hi--
-			positions[lo], positions[hi] = positions[hi], positions[lo]
+// order is the split recursion, run once: it partitions pts in place,
+// low half first, until a node holds one point or is degenerate. A
+// degenerate node's points stay unordered.
+func order(pts []pathPoint, rect geo.Rect, level int) {
+	for len(pts) > 1 && !degenerate(rect) {
+		low, high, mid, onX := halves(rect, level)
+		lo, hi := 0, len(pts)
+		for lo < hi {
+			c := pts[lo].y
+			if onX {
+				c = pts[lo].x
+			}
+			if c <= mid {
+				lo++
+			} else {
+				hi--
+				pts[lo], pts[hi] = pts[hi], pts[lo]
+			}
 		}
+		order(pts[:lo], low, level+1)
+		pts, rect, level = pts[lo:], high, level+1
 	}
-	ix.split(positions[:lo], left, level+1, radius, p, scratch)
-	ix.split(positions[lo:], right, level+1, radius, p, scratch)
+}
+
+// halves splits rect at level, on the x axis at even levels and the y
+// axis at odd ones. A point whose coordinate is <= mid lies in the low
+// half, whose rectangle ends on the midpoint; the high half starts one
+// ulp past it.
+func halves(rect geo.Rect, level int) (low, high geo.Rect, mid float64, onX bool) {
+	low, high = rect, rect
+	if level%2 == 0 { // split the horizontal dimension (vertical cut line)
+		mid = (rect.MinX + rect.MaxX) / 2
+		low.MaxX, high.MinX = mid, math.Nextafter(mid, math.Inf(1))
+		return low, high, mid, true
+	}
+	// split the vertical dimension (horizontal cut line)
+	mid = (rect.MinY + rect.MaxY) / 2
+	low.MaxY, high.MinY = mid, math.Nextafter(mid, math.Inf(1))
+	return low, high, mid, false
 }
 
 // degenerate guards against rectangles too small to split further (all
@@ -167,39 +168,188 @@ func degenerate(rect geo.Rect) bool {
 	return (midX <= rect.MinX || midX >= rect.MaxX) && (midY <= rect.MinY || midY >= rect.MaxY)
 }
 
-// CoreOf returns the index of the subspace whose core contains p, or -1.
-// Cores are disjoint so at most one matches.
-func (p *Partition) CoreOf(pt geo.Point) int {
-	for i := range p.Subspaces {
-		if p.Subspaces[i].Core.Contains(pt) {
-			return i
+// cut returns how many of a node's run lie in its low half. The build
+// put them first, so a binary search on the split test finds the
+// boundary. run must hold more than one position of a node that is not
+// degenerate, or a single position.
+func (ix *Index) cut(run []int32, mid float64, onX bool) int {
+	coord := ix.ys
+	if onX {
+		coord = ix.xs
+	}
+	lo, hi := 0, len(run)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if coord[run[h]] <= mid {
+			lo = h + 1
+		} else {
+			hi = h
 		}
 	}
-	return -1
+	return lo
 }
 
-// Stats summarises a partition for diagnostics and tests.
-type Stats struct {
-	NumSubspaces int
-	MaxCoreDiag  float64
-	TotalCorePts int
-	TotalACPts   int // counts multiplicity across overlapping bands
-	MaxACPoints  int
+// run returns the positions of category cat in path order, every
+// position for dataset.NoCategory, and nil for an unknown category.
+func (ix *Index) run(cat dataset.CategoryID) []int32 {
+	if cat == dataset.NoCategory {
+		return ix.all
+	}
+	if cat < 0 || int(cat)+1 >= len(ix.catOff) {
+		return nil
+	}
+	return ix.byCat[ix.catOff[cat]:ix.catOff[cat+1]]
 }
 
-// Stats computes summary statistics.
-func (p *Partition) Stats() Stats {
-	s := Stats{NumSubspaces: len(p.Subspaces)}
-	for i := range p.Subspaces {
-		ss := &p.Subspaces[i]
-		if d := ss.Core.Diagonal(); d > s.MaxCoreDiag {
-			s.MaxCoreDiag = d
+func (ix *Index) loc(pos int32) geo.Point { return geo.Point{X: ix.xs[pos], Y: ix.ys[pos]} }
+
+// Partition divides the data space for the query radius
+// radius = beta*||V_t*||. With radius = +Inf (the SEQ relaxation) the whole
+// space is a single core subspace with an empty auxiliary band. A zero or
+// negative radius is rejected: it would admit no tuple with two distinct
+// locations, and the split recursion below would not terminate.
+func (ix *Index) Partition(radius float64) (*Partition, error) {
+	if len(ix.all) == 0 {
+		return &Partition{Radius: radius, Bounds: geo.EmptyRect()}, nil
+	}
+	if math.IsNaN(radius) || radius <= 0 {
+		return nil, fmt.Errorf("partition: radius must be positive, got %g", radius)
+	}
+	p := &Partition{Radius: radius, Bounds: ix.bounds}
+	if math.IsInf(radius, 1) {
+		p.Subspaces = []Subspace{{Core: ix.bounds, AC: ix.bounds, CorePoints: ix.all}}
+		return p, nil
+	}
+	// Count the cores first so the slice is allocated once.
+	n := 0
+	ix.cores(ix.all, ix.bounds, 0, radius, func([]int32, geo.Rect) { n++ })
+	p.Subspaces = make([]Subspace, 0, n)
+	ix.cores(ix.all, ix.bounds, 0, radius, func(run []int32, rect geo.Rect) {
+		p.Subspaces = append(p.Subspaces, Subspace{
+			Core:       rect,
+			AC:         rect.Inflate(radius).Intersect(ix.bounds),
+			CorePoints: run,
+		})
+	})
+	return p, nil
+}
+
+// cores calls emit for each non-empty node under rect whose diagonal is
+// below the radius or which is degenerate, in the split recursion's
+// order, with the node's run and rectangle.
+func (ix *Index) cores(run []int32, rect geo.Rect, level int, radius float64, emit func([]int32, geo.Rect)) {
+	for len(run) > 0 {
+		if rect.Diagonal() < radius || degenerate(rect) {
+			emit(run, rect)
+			return
 		}
-		s.TotalCorePts += len(ss.CorePoints)
-		s.TotalACPts += len(ss.ACPoints)
-		if len(ss.ACPoints) > s.MaxACPoints {
-			s.MaxACPoints = len(ss.ACPoints)
+		low, high, mid, onX := halves(rect, level)
+		k := ix.cut(run, mid, onX)
+		ix.cores(run[:k], low, level+1, radius, emit)
+		run, rect, level = run[k:], high, level+1
+	}
+}
+
+// Gather appends to dst, in path order, the positions of category cat
+// (every position for dataset.NoCategory) that the closed rectangle
+// region contains: the runs of the nodes region covers, and the points
+// of the nodes it cuts that it contains.
+func (ix *Index) Gather(dst []int32, cat dataset.CategoryID, region geo.Rect) []int32 {
+	return ix.gather(dst, ix.run(cat), ix.bounds, 0, region)
+}
+
+func (ix *Index) gather(dst, run []int32, rect geo.Rect, level int, region geo.Rect) []int32 {
+	for len(run) > 0 && region.Intersects(rect) {
+		if region.ContainsRect(rect) {
+			return append(dst, run...)
+		}
+		if len(run) == 1 || degenerate(rect) {
+			// A leaf of the build: a degenerate node is unordered.
+			for _, pos := range run {
+				if region.Contains(ix.loc(pos)) {
+					dst = append(dst, pos)
+				}
+			}
+			return dst
+		}
+		low, high, mid, onX := halves(rect, level)
+		k := ix.cut(run, mid, onX)
+		dst = ix.gather(dst, run[:k], low, level+1, region)
+		run, rect, level = run[k:], high, level+1
+	}
+	return dst
+}
+
+// Neighbor is one nearest-object result.
+type Neighbor struct {
+	Pos  int32
+	Dist float64
+}
+
+// Nearest returns the k objects of category cat (every object for
+// dataset.NoCategory) nearest to q, by distance and then position, or
+// fewer when the category holds fewer. It opens the nodes best-first,
+// by their rectangle's distance from q, and stops at the first that
+// lies farther than the k-th object found.
+func (ix *Index) Nearest(q geo.Point, k int, cat dataset.CategoryID) []Neighbor {
+	run := ix.run(cat)
+	if k <= 0 || len(run) == 0 {
+		return nil
+	}
+	var out []Neighbor
+	pq := nodeQueue{{dist: ix.bounds.MinDistPoint(q), rect: ix.bounds, run: run}}
+	for len(pq) > 0 {
+		nd := heap.Pop(&pq).(queuedNode)
+		if len(out) == k && nd.dist > out[k-1].Dist {
+			break
+		}
+		if len(nd.run) == 1 || degenerate(nd.rect) {
+			for _, pos := range nd.run {
+				out = insertNeighbor(out, Neighbor{Pos: pos, Dist: ix.loc(pos).Dist(q)}, k)
+			}
+			continue
+		}
+		low, high, mid, onX := halves(nd.rect, nd.level)
+		c := ix.cut(nd.run, mid, onX)
+		for _, child := range [2]queuedNode{{rect: low, run: nd.run[:c]}, {rect: high, run: nd.run[c:]}} {
+			if len(child.run) > 0 {
+				child.dist, child.level = child.rect.MinDistPoint(q), nd.level+1
+				heap.Push(&pq, child)
+			}
 		}
 	}
-	return s
+	return out
+}
+
+// insertNeighbor keeps out sorted ascending by (dist, pos), capped at k.
+func insertNeighbor(out []Neighbor, nb Neighbor, k int) []Neighbor {
+	i, _ := slices.BinarySearchFunc(out, nb, func(a, b Neighbor) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Pos, b.Pos))
+	})
+	if i >= k {
+		return out
+	}
+	return slices.Insert(out, i, nb)[:min(len(out)+1, k)]
+}
+
+// queuedNode is a node waiting in Nearest's queue, keyed by the distance
+// from q to its rectangle.
+type queuedNode struct {
+	dist  float64
+	rect  geo.Rect
+	run   []int32
+	level int
+}
+
+type nodeQueue []queuedNode
+
+func (q nodeQueue) Len() int           { return len(q) }
+func (q nodeQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
+func (q nodeQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *nodeQueue) Push(x any)        { *q = append(*q, x.(queuedNode)) }
+func (q *nodeQueue) Pop() any {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
 }

@@ -1,11 +1,13 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
 )
 
@@ -17,8 +19,32 @@ func randPoints(rng *rand.Rand, n int, extent float64) []geo.Point {
 	return pts
 }
 
+// pointsDataset builds a dataset with one object at each of pts, object
+// i in category i % cats.
+func pointsDataset(t testing.TB, pts []geo.Point, cats int) *dataset.Dataset {
+	t.Helper()
+	b := &dataset.Builder{}
+	ids := make([]dataset.CategoryID, cats)
+	for c := range ids {
+		ids[c] = b.Category(fmt.Sprintf("c%d", c))
+	}
+	for i, p := range pts {
+		b.Add(dataset.Object{ID: int64(i), Loc: p, Category: ids[i%cats]})
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// newIndex indexes pts, object i in category i % 3.
+func newIndex(t testing.TB, pts []geo.Point) *Index {
+	return NewIndex(pointsDataset(t, pts, 3))
+}
+
 func TestEmptyIndex(t *testing.T) {
-	ix := NewIndex(nil)
+	ix := newIndex(t, nil)
 	p, err := ix.Partition(5)
 	if err != nil {
 		t.Fatal(err)
@@ -26,10 +52,16 @@ func TestEmptyIndex(t *testing.T) {
 	if len(p.Subspaces) != 0 {
 		t.Errorf("empty index produced %d subspaces", len(p.Subspaces))
 	}
+	if got := ix.Gather(nil, dataset.NoCategory, geo.Rect{MaxX: 1, MaxY: 1}); len(got) != 0 {
+		t.Errorf("empty index gathered %v", got)
+	}
+	if got := ix.Nearest(geo.Point{}, 3, dataset.NoCategory); len(got) != 0 {
+		t.Errorf("empty index found neighbors %v", got)
+	}
 }
 
 func TestInvalidRadius(t *testing.T) {
-	ix := NewIndex([]geo.Point{{X: 1, Y: 1}})
+	ix := newIndex(t, []geo.Point{{X: 1, Y: 1}})
 	for _, r := range []float64{0, -1, math.NaN()} {
 		if _, err := ix.Partition(r); err == nil {
 			t.Errorf("radius %g should be rejected", r)
@@ -39,9 +71,8 @@ func TestInvalidRadius(t *testing.T) {
 
 func TestInfiniteRadiusSingleSubspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	pts := randPoints(rng, 100, 50)
-	ix := NewIndex(pts)
-	p, err := ix.Partition(math.Inf(1))
+	ds := pointsDataset(t, randPoints(rng, 100, 50), 3)
+	p, err := NewIndex(ds).Partition(math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +80,10 @@ func TestInfiniteRadiusSingleSubspace(t *testing.T) {
 		t.Fatalf("got %d subspaces, want 1", len(p.Subspaces))
 	}
 	ss := p.Subspaces[0]
-	if len(ss.CorePoints) != 100 || len(ss.ACPoints) != 100 {
-		t.Errorf("core/ac points = %d/%d, want 100/100", len(ss.CorePoints), len(ss.ACPoints))
+	if len(ss.CorePoints) != 100 || ss.ACPoints != nil {
+		t.Errorf("core/ac points = %d/%d, want 100 and no ac list", len(ss.CorePoints), len(ss.ACPoints))
 	}
-	if ss.Core != ix.Bounds() || ss.AC != ix.Bounds() {
+	if ss.Core != ds.Bounds() || ss.AC != ds.Bounds() {
 		t.Error("infinite radius must cover whole bounds")
 	}
 }
@@ -61,7 +92,7 @@ func TestCoresDisjointAndCovering(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{1, 10, 500, 3000} {
 		pts := randPoints(rng, n, 100)
-		ix := NewIndex(pts)
+		ix := newIndex(t, pts)
 		for _, radius := range []float64{5, 20, 80, 300} {
 			p, err := ix.Partition(radius)
 			if err != nil {
@@ -79,21 +110,20 @@ func TestCoresDisjointAndCovering(t *testing.T) {
 					t.Fatalf("n=%d radius=%g: point %d in %d cores, want 1", n, radius, i, c)
 				}
 			}
-			// CoreOf agrees with membership
+			// exactly one core rectangle contains each point, and lists it
 			for i, pt := range pts {
-				si := p.CoreOf(pt)
-				if si < 0 {
-					t.Fatalf("point %d in no core rect", i)
-				}
-				found := false
-				for _, pos := range p.Subspaces[si].CorePoints {
-					if int(pos) == i {
-						found = true
-						break
+				owners := 0
+				for _, ss := range p.Subspaces {
+					if !ss.Core.Contains(pt) {
+						continue
+					}
+					owners++
+					if !slices.Contains(ss.CorePoints, int32(i)) {
+						t.Fatalf("point %d not listed in its core subspace", i)
 					}
 				}
-				if !found {
-					t.Fatalf("point %d not listed in its core subspace", i)
+				if owners != 1 {
+					t.Fatalf("point %d in %d core rects, want 1", i, owners)
 				}
 			}
 		}
@@ -102,8 +132,7 @@ func TestCoresDisjointAndCovering(t *testing.T) {
 
 func TestCoreDiagonalBelowRadius(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	pts := randPoints(rng, 2000, 100)
-	ix := NewIndex(pts)
+	ix := newIndex(t, randPoints(rng, 2000, 100))
 	radius := 12.0
 	p, err := ix.Partition(radius)
 	if err != nil {
@@ -120,12 +149,12 @@ func TestCoreDiagonalBelowRadius(t *testing.T) {
 }
 
 func TestACBandContainsNeighbors(t *testing.T) {
-	// Every point within `radius` of a core point must be in the
-	// ac-subspace point list — that is the property guaranteeing no valid
+	// Every point within `radius` of a core point must be among the
+	// ac-subspace's points — that is the property guaranteeing no valid
 	// tuple is missed.
 	rng := rand.New(rand.NewSource(4))
 	pts := randPoints(rng, 800, 60)
-	ix := NewIndex(pts)
+	ix := newIndex(t, pts)
 	radius := 7.5
 	p, err := ix.Partition(radius)
 	if err != nil {
@@ -133,8 +162,8 @@ func TestACBandContainsNeighbors(t *testing.T) {
 	}
 	for si := range p.Subspaces {
 		ss := &p.Subspaces[si]
-		inAC := make(map[int32]bool, len(ss.ACPoints))
-		for _, pos := range ss.ACPoints {
+		inAC := map[int32]bool{}
+		for _, pos := range ix.Gather(nil, dataset.NoCategory, ss.AC) {
 			inAC[pos] = true
 		}
 		for _, cp := range ss.CorePoints {
@@ -152,8 +181,7 @@ func TestACBandContainsNeighbors(t *testing.T) {
 
 func TestACWithinBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	pts := randPoints(rng, 300, 40)
-	ix := NewIndex(pts)
+	ix := newIndex(t, randPoints(rng, 300, 40))
 	p, err := ix.Partition(6)
 	if err != nil {
 		t.Fatal(err)
@@ -168,36 +196,12 @@ func TestACWithinBounds(t *testing.T) {
 	}
 }
 
-// TestACPointsExactAndOwned: every subspace's ACPoints is the R-tree's
-// search of its ac rectangle, element for element, in a slice of its
-// own sized exactly, although one buffer serves every search of a build.
-func TestACPointsExactAndOwned(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	ix := NewIndex(randPoints(rng, 1500, 100))
-	for _, radius := range []float64{3, 8, 20, 60} {
-		p, err := ix.Partition(radius)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, ss := range p.Subspaces {
-			want := ix.Tree().Search(ss.AC, nil)
-			if !slices.Equal(ss.ACPoints, want) || cap(ss.ACPoints) != len(ss.ACPoints) {
-				t.Fatalf("radius %g subspace %d: ACPoints len %d cap %d, search has %d points or differs",
-					radius, i, len(ss.ACPoints), cap(ss.ACPoints), len(want))
-			}
-			if i > 0 && &ss.ACPoints[0] == &p.Subspaces[i-1].ACPoints[0] {
-				t.Fatalf("radius %g: subspaces %d and %d share ACPoints storage", radius, i-1, i)
-			}
-		}
-	}
-}
-
 func TestAllPointsCoincide(t *testing.T) {
 	pts := make([]geo.Point, 20)
 	for i := range pts {
 		pts[i] = geo.Point{X: 5, Y: 5}
 	}
-	ix := NewIndex(pts)
+	ix := newIndex(t, pts)
 	p, err := ix.Partition(0.001)
 	if err != nil {
 		t.Fatal(err)
@@ -210,33 +214,9 @@ func TestAllPointsCoincide(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	pts := randPoints(rng, 400, 50)
-	ix := NewIndex(pts)
-	p, err := ix.Partition(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.NumSubspaces != len(p.Subspaces) {
-		t.Errorf("NumSubspaces = %d", st.NumSubspaces)
-	}
-	if st.TotalCorePts != 400 {
-		t.Errorf("TotalCorePts = %d, want 400", st.TotalCorePts)
-	}
-	if st.TotalACPts < 400 {
-		t.Errorf("TotalACPts = %d, must be >= core total", st.TotalACPts)
-	}
-	if st.MaxCoreDiag >= 8 {
-		t.Errorf("MaxCoreDiag = %g, must be < radius", st.MaxCoreDiag)
-	}
-}
-
 func TestPartitionCountGrowsAsRadiusShrinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	pts := randPoints(rng, 1000, 100)
-	ix := NewIndex(pts)
+	ix := newIndex(t, randPoints(rng, 1000, 100))
 	var prev int
 	for i, radius := range []float64{100, 25, 6} {
 		p, err := ix.Partition(radius)

@@ -14,8 +14,8 @@ type Neighbor struct {
 
 // Nearest returns the k points closest to q in ascending distance order
 // (ties broken by payload). filter, when non-nil, rejects candidates by
-// payload — the snap-to-POI feature uses it to restrict by category.
-// Fewer than k results are returned when the (filtered) tree is smaller.
+// payload. Fewer than k results are returned when the (filtered) tree is
+// smaller.
 //
 // The search is the classic best-first traversal: a priority queue holds
 // tree nodes keyed by the minimal distance from q to their bounding

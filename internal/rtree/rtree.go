@@ -1,7 +1,8 @@
 // Package rtree implements a static, bulk-loaded R-tree over 2-D points
-// using Sort-Tile-Recursive (STR) packing. The partitioner uses it to
-// gather the contents of each ac-subspace with one rectangle range query
-// instead of scanning the whole dataset per subspace.
+// using Sort-Tile-Recursive (STR) packing. The road network
+// (internal/roadnet) uses its nearest-neighbor search to snap a location
+// to its nearest road node; the dataset's own range and nearest-object
+// queries go through partition.Index.
 //
 // The tree is immutable after New and safe for concurrent readers.
 package rtree

@@ -607,7 +607,7 @@ type SnapRequest struct {
 	X        float64 `json:"x"`
 	Y        float64 `json:"y"`
 	Category string  `json:"category,omitempty"` // empty = any category
-	K        int     `json:"k,omitempty"`        // default 5
+	K        int     `json:"k,omitempty"`        // default 5, at most query.MaxK
 }
 
 // SnapResponse is the /snap response body.
@@ -640,6 +640,10 @@ func (s *Server) handleSnap(w http.ResponseWriter, r *http.Request) {
 	k := req.K
 	if k <= 0 {
 		k = 5
+	}
+	if k > query.MaxK {
+		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("k must be at most %d, got %d", query.MaxK, k)})
+		return
 	}
 	var resp SnapResponse
 	for _, sr := range s.eng.Snap(geo.Point{X: req.X, Y: req.Y}, cat, k) {

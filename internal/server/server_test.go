@@ -10,6 +10,7 @@ import (
 
 	"spatialseq/internal/core"
 	"spatialseq/internal/dataset"
+	"spatialseq/internal/query"
 	"spatialseq/internal/testutil"
 )
 
@@ -305,6 +306,38 @@ func TestSnapCategoryFilter(t *testing.T) {
 	for _, r := range sr.Results {
 		if r.Object.Category != cat {
 			t.Errorf("filter violated: %+v", r.Object)
+		}
+	}
+}
+
+// TestSnapBoundsK: /snap answers k up to query.MaxK, the limit /search
+// applies, with min(n, k) objects, and rejects a larger k before it
+// searches.
+func TestSnapBoundsK(t *testing.T) {
+	ts, ds := newTestServer(t)
+	for _, tc := range []struct{ k, status, results int }{
+		{query.MaxK, http.StatusOK, min(ds.Len(), query.MaxK)},
+		{query.MaxK + 1, http.StatusBadRequest, 0},
+	} {
+		body, _ := json.Marshal(SnapRequest{X: 50, Y: 50, K: tc.k})
+		resp, err := http.Post(ts.URL+"/snap", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr struct {
+			Results []SnapResult `json:"results"`
+			Error   string       `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&sr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status || len(sr.Results) != tc.results {
+			t.Errorf("k %d: status %d with %d results, want %d with %d", tc.k, resp.StatusCode, len(sr.Results), tc.status, tc.results)
+		}
+		if tc.status == http.StatusBadRequest && sr.Error == "" {
+			t.Errorf("k %d: the 400 carries no JSON error", tc.k)
 		}
 	}
 }

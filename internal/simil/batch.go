@@ -11,6 +11,7 @@ package simil
 
 import (
 	"spatialseq/internal/geo"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/vectormath"
 )
 
@@ -99,48 +100,31 @@ type BatchScratch struct {
 // identical to CandidatesInto (same filter order, same sims, same
 // sort), under every memo mode.
 func (c *Context) CandidatesBatchInto(dst []Cand, dim int, positions []int32, bs *BatchScratch) []Cand {
-	bs.pos = c.appendOfCategory(bs.pos[:0], dim, positions)
+	cat := c.Ex.Categories[dim]
+	bs.pos = bs.pos[:0]
+	for _, pos := range positions {
+		if c.DS.Category(int(pos)) == cat {
+			bs.pos = append(bs.pos, pos)
+		}
+	}
 	dst = c.appendScored(dst, dim, bs)
 	SortCandidates(dst)
 	return dst
 }
 
 // RegionCandidatesInto appends to dst, unsorted, every object of dim's
-// category that region contains, scored with AttrSimBatch. positions
-// must hold exactly the dataset points region contains (a subspace's
-// CorePoints for its Core, its ACPoints for its AC). The call gathers
-// from whichever of positions and the category's object list is
-// shorter; both give the same set. A candidate with the largest
-// similarity leads the appended run. Sims, memo fills and memo counters
-// equal CandidatesBatchInto's over the same positions; only the order
+// category that region contains (partition.Index.Gather), scored with
+// AttrSimBatch. A candidate with the largest similarity leads the
+// appended run. Sims, memo fills and memo counters equal
+// CandidatesBatchInto's over the region's points; only the order
 // differs.
-func (c *Context) RegionCandidatesInto(dst []Cand, dim int, region geo.Rect, positions []int32, bs *BatchScratch) []Cand {
-	bs.pos = bs.pos[:0]
-	if objs := c.DS.CategoryObjects(c.Ex.Categories[dim]); len(objs) < len(positions) {
-		for _, pos := range objs {
-			if region.Contains(c.DS.Loc(int(pos))) {
-				bs.pos = append(bs.pos, pos)
-			}
-		}
-	} else {
-		bs.pos = c.appendOfCategory(bs.pos, dim, positions)
-	}
+func (c *Context) RegionCandidatesInto(dst []Cand, dim int, ix *partition.Index, region geo.Rect, bs *BatchScratch) []Cand {
+	bs.pos = ix.Gather(bs.pos[:0], c.Ex.Categories[dim], region)
 	base := len(dst)
 	dst = c.appendScored(dst, dim, bs)
 	for i := base + 1; i < len(dst); i++ {
 		if dst[i].Sim > dst[base].Sim {
 			dst[base], dst[i] = dst[i], dst[base]
-		}
-	}
-	return dst
-}
-
-// appendOfCategory appends the positions of dim's category to dst.
-func (c *Context) appendOfCategory(dst []int32, dim int, positions []int32) []int32 {
-	cat := c.Ex.Categories[dim]
-	for _, pos := range positions {
-		if c.DS.Category(int(pos)) == cat {
-			dst = append(dst, pos)
 		}
 	}
 	return dst

@@ -28,7 +28,7 @@ import (
 func TestBoundCoversSubspaceMaxima(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	ds := gridDataset(t, rng, 3000, []float64{0.9, 0.09, 0.01}, 7)
-	ix := testutil.BuildIndex(ds)
+	ix := partition.NewIndex(ds)
 	ex := query.Example{
 		Categories: []dataset.CategoryID{2, 1, 0, 2},
 		Locations:  []geo.Point{{X: 10, Y: 10}, {X: 13, Y: 14}, {X: 10, Y: 16}, {X: 12, Y: 11}},
@@ -127,9 +127,9 @@ func TestBoundCoversSubspaceMaxima(t *testing.T) {
 func trueMaxima(c *Context, ss *partition.Subspace) []float64 {
 	out := make([]float64, c.M)
 	for d := range out {
-		region, positions := ss.AC, ss.ACPoints
+		region := ss.AC
 		if d == 0 {
-			region, positions = ss.Core, ss.CorePoints
+			region = ss.Core
 		}
 		out[d] = math.Inf(-1)
 		if fixed := c.Ex.FixedDim(d); fixed >= 0 {
@@ -138,7 +138,8 @@ func trueMaxima(c *Context, ss *partition.Subspace) []float64 {
 			}
 			continue
 		}
-		if list := c.Candidates(d, positions); len(list) > 0 {
+		cat := c.Ex.Categories[d]
+		if list := c.Candidates(d, testutil.InRegion(c.DS, c.DS.CategoryObjects(cat), cat, region)); len(list) > 0 {
 			out[d] = list[0].Sim
 		}
 	}
@@ -177,7 +178,7 @@ func BenchmarkOrderByBound(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := NewContext(ds, q)
-	part, err := testutil.BuildIndex(ds).Partition(c.PartitionRadius())
+	part, err := partition.NewIndex(ds).Partition(c.PartitionRadius())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/testutil"
 )
@@ -58,18 +59,17 @@ func onEdge(r geo.Rect, p geo.Point) bool {
 	return p.X == r.MinX || p.X == r.MaxX || p.Y == r.MinY || p.Y == r.MaxY
 }
 
-// TestRegionCandidatesMatchScan holds RegionCandidatesInto to the full
-// scan CandidatesBatchInto makes: for every subspace and dimension, both
-// keep the same candidates with the same sims, and a maximum leads the
-// unsorted run. Categories of very different sizes make the call walk
-// the category for some lists and scan the subspace for others, and
-// the walked lists must hold points on core split lines and on ac-band
-// edges, where only a closed containment test agrees with CorePoints
-// and the R-tree's ACPoints.
+// TestRegionCandidatesMatchScan holds RegionCandidatesInto to a brute
+// scan of the region's category objects through CandidatesBatchInto:
+// for every subspace and dimension, both keep the same candidates with
+// the same sims, and a maximum leads the unsorted run. Categories of
+// very different sizes give runs of every length, and the lists must
+// hold points on core split lines and on ac-band edges, where only a
+// closed containment test agrees with the scan.
 func TestRegionCandidatesMatchScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	ds := gridDataset(t, rng, 3000, []float64{0.9, 0.09, 0.01}, 0)
-	ix := testutil.BuildIndex(ds)
+	ix := partition.NewIndex(ds)
 	q := &query.Query{Variant: query.CSEQ, Example: query.Example{
 		Categories: []dataset.CategoryID{2, 1, 0, 2},
 		Locations:  []geo.Point{{X: 10, Y: 10}, {X: 13, Y: 14}, {X: 10, Y: 16}, {X: 12, Y: 11}},
@@ -78,7 +78,7 @@ func TestRegionCandidatesMatchScan(t *testing.T) {
 	if err := q.Validate(ds); err != nil {
 		t.Fatal(err)
 	}
-	var scanned, walkedCore, walkedAC, coreEdge, acEdge int
+	var coreEdge, acEdge int
 	for _, radius := range []float64{6, 16} {
 		part, err := ix.Partition(radius)
 		if err != nil {
@@ -89,12 +89,13 @@ func TestRegionCandidatesMatchScan(t *testing.T) {
 		for si := range part.Subspaces {
 			ss := &part.Subspaces[si]
 			for d := 0; d < c.M; d++ {
-				region, positions := ss.AC, ss.ACPoints
+				region, edge := ss.AC, &acEdge
 				if d == 0 {
-					region, positions = ss.Core, ss.CorePoints
+					region, edge = ss.Core, &coreEdge
 				}
-				want := c.CandidatesBatchInto(nil, d, positions, &bs)
-				got := c.RegionCandidatesInto(nil, d, region, positions, &bs)
+				cat := q.Example.Categories[d]
+				want := c.CandidatesBatchInto(nil, d, testutil.InRegion(ds, ds.CategoryObjects(cat), cat, region), &bs)
+				got := c.RegionCandidatesInto(nil, d, ix, region, &bs)
 				if len(got) > 0 && got[0].Sim != want[0].Sim {
 					t.Fatalf("radius %g subspace %d dim %d: run leads with sim %v, maximum is %v",
 						radius, si, d, got[0].Sim, want[0].Sim)
@@ -102,17 +103,6 @@ func TestRegionCandidatesMatchScan(t *testing.T) {
 				SortCandidates(got)
 				if !slices.Equal(got, want) {
 					t.Fatalf("radius %g subspace %d dim %d: region gather %v, scan %v", radius, si, d, got, want)
-				}
-				if len(ds.CategoryObjects(q.Example.Categories[d])) >= len(positions) {
-					scanned++
-					continue
-				}
-				edge := &acEdge
-				if d == 0 {
-					walkedCore++
-					edge = &coreEdge
-				} else {
-					walkedAC++
 				}
 				for _, cand := range want {
 					if onEdge(region, ds.Loc(int(cand.Pos))) {
@@ -122,10 +112,7 @@ func TestRegionCandidatesMatchScan(t *testing.T) {
 			}
 		}
 	}
-	if scanned == 0 || walkedCore == 0 || walkedAC == 0 {
-		t.Errorf("scanned %d lists, walked %d core and %d ac lists: every gather must run", scanned, walkedCore, walkedAC)
-	}
 	if coreEdge == 0 || acEdge == 0 {
-		t.Errorf("walked lists hold %d core-edge and %d ac-edge points: the fixture must put points on both", coreEdge, acEdge)
+		t.Errorf("lists hold %d core-edge and %d ac-edge points: the fixture must put points on both", coreEdge, acEdge)
 	}
 }

@@ -3,6 +3,9 @@ package simil
 import (
 	"math/rand"
 	"testing"
+
+	"spatialseq/internal/geo"
+	"spatialseq/internal/partition"
 )
 
 // The per-candidate scoring kernels must not allocate once scratch
@@ -71,19 +74,17 @@ func TestScratchPushPopZeroAlloc(t *testing.T) {
 func TestRegionCandidatesIntoZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	c, _ := newCtx(t, rng, 3, 1.5)
-	all := make([]int32, c.DS.Len())
-	for i := range all {
-		all[i] = int32(i)
-	}
+	ix := partition.NewIndex(c.DS)
 	bounds := c.DS.Bounds()
-	// All positions walk the (shorter) category list; a handful scan.
-	for _, positions := range [][]int32{all, all[:4]} {
+	quarter := geo.Rect{MinX: bounds.MinX, MinY: bounds.MinY, MaxX: bounds.Center().X + 1, MaxY: bounds.Center().Y + 1}
+	// The whole bounds take the category's run; the quarter cuts nodes.
+	for _, region := range []geo.Rect{bounds, quarter} {
 		var bs BatchScratch
-		dst := c.RegionCandidatesInto(nil, 0, bounds, positions, &bs) // warm the buffers
+		dst := c.RegionCandidatesInto(nil, 0, ix, region, &bs) // warm the buffers
 		if got := testing.AllocsPerRun(100, func() {
-			dst = c.RegionCandidatesInto(dst[:0], 0, bounds, positions, &bs)
+			dst = c.RegionCandidatesInto(dst[:0], 0, ix, region, &bs)
 		}); got != 0 {
-			t.Errorf("RegionCandidatesInto over %d positions with warm buffers allocates %v times per call, want 0", len(positions), got)
+			t.Errorf("RegionCandidatesInto over %v with warm buffers allocates %v times per call, want 0", region, got)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 	"spatialseq/internal/algo/lora"
 	"spatialseq/internal/algo/sched"
 	"spatialseq/internal/dataset"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/simil"
-	"spatialseq/internal/testutil"
 	"spatialseq/internal/topk"
 )
 
@@ -200,7 +200,7 @@ func RunDiff(ctx context.Context, cfg DiffConfig) (*DiffReport, error) {
 // exact algorithms are compared tuple-for-tuple; LORA (when checkLORA) is
 // validated for feasibility and score domination.
 func CheckCase(ctx context.Context, c *Case, parallel, checkLORA bool) ([]Mismatch, error) {
-	ix := testutil.BuildIndex(c.DS)
+	ix := partition.NewIndex(c.DS)
 	want := brute.Search(c.DS, c.Q)
 	var out []Mismatch
 
@@ -240,7 +240,7 @@ func CheckCase(ctx context.Context, c *Case, parallel, checkLORA bool) ([]Mismat
 // steal granularity, including chunk=1), LORA re-validated for
 // feasibility and domination.
 func CheckCaseSteal(ctx context.Context, c *Case, chunkSizes []int, checkLORA bool) ([]Mismatch, error) {
-	ix := testutil.BuildIndex(c.DS)
+	ix := partition.NewIndex(c.DS)
 	want := brute.Search(c.DS, c.Q)
 	var out []Mismatch
 	for _, cs := range chunkSizes {

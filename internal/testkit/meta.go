@@ -9,9 +9,9 @@ import (
 	"spatialseq/internal/algo/hsp"
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/simil"
-	"spatialseq/internal/testutil"
 )
 
 // MetaTol is the similarity tolerance of the metamorphic checks. Unlike
@@ -92,7 +92,7 @@ func CheckTransformInvariance(ctx context.Context, c *Case, tf Transform) []Mism
 		}
 	}
 	// The exact pipeline must also survive the transformed geometry.
-	got, err := hsp.Search(ctx, tds, testutil.BuildIndex(tds), tq, hsp.Options{})
+	got, err := hsp.Search(ctx, tds, partition.NewIndex(tds), tq, hsp.Options{})
 	if err != nil {
 		return append(out, Mismatch{Case: c, Algo: name, Kind: "hsp-error", Detail: err.Error()})
 	}
@@ -193,7 +193,7 @@ func CheckKMonotonic(ctx context.Context, c *Case, k2 int) []Mismatch {
 		}
 	}
 	// HSP must satisfy the same prefix property.
-	ix := testutil.BuildIndex(c.DS)
+	ix := partition.NewIndex(c.DS)
 	hs, err := hsp.Search(ctx, c.DS, ix, c.Q, hsp.Options{})
 	if err != nil {
 		return append(out, Mismatch{Case: c, Algo: name, Kind: "hsp-error", Detail: err.Error()})
@@ -224,7 +224,7 @@ func CheckKMonotonic(ctx context.Context, c *Case, k2 int) []Mismatch {
 // the algorithms see, since they never re-normalize a validated query.
 func CheckAlphaEndpoints(ctx context.Context, c *Case) []Mismatch {
 	var out []Mismatch
-	ix := testutil.BuildIndex(c.DS)
+	ix := partition.NewIndex(c.DS)
 	for _, alpha := range []float64{0, 1} {
 		name := fmt.Sprintf("meta-alpha-%g", alpha)
 		q := CloneQuery(c.Q)

@@ -11,7 +11,6 @@ import (
 
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
-	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/stats"
 	"spatialseq/internal/topk"
@@ -300,15 +299,18 @@ func PinDims(rng *rand.Rand, ds *dataset.Dataset, q *query.Query, dims ...int) b
 	return true
 }
 
-// BuildIndex builds the partition index over the dataset's locations — the
-// same construction core.NewEngine performs, shared here so algorithm
-// tests do not each reimplement it.
-func BuildIndex(ds *dataset.Dataset) *partition.Index {
-	pts := make([]geo.Point, ds.Len())
-	for i := range pts {
-		pts[i] = ds.Loc(i)
+// InRegion returns, in order, the positions of order whose category is
+// cat (any category for dataset.NoCategory) and whose location the closed
+// rectangle region contains: the brute scan the index's gathers are held
+// to.
+func InRegion(ds *dataset.Dataset, order []int32, cat dataset.CategoryID, region geo.Rect) []int32 {
+	var out []int32
+	for _, pos := range order {
+		if (cat == dataset.NoCategory || ds.Category(int(pos)) == cat) && region.Contains(ds.Loc(int(pos))) {
+			out = append(out, pos)
+		}
 	}
-	return partition.NewIndex(pts)
+	return out
 }
 
 // Sims extracts the similarity series of a result list, best-first.
