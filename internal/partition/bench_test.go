@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"spatialseq/internal/dataset"
 )
 
 // benchIndex indexes 100,000 uniform points over a 400 x 400 square in
@@ -44,6 +46,26 @@ func BenchmarkGather(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j := range part.Subspaces {
 			dst = ix.Gather(dst[:0], 3, part.Subspaces[j].AC)
+		}
+	}
+}
+
+// nearestSink keeps the benchmarked searches from being optimised away.
+var nearestSink []Neighbor
+
+// BenchmarkNearest finds the k objects nearest to random points, among
+// all of them and within one category, as Engine.Snap does.
+func BenchmarkNearest(b *testing.B) {
+	ix := benchIndex(b)
+	qs := randPoints(rand.New(rand.NewSource(2)), 1024, 400)
+	for _, k := range []int{1, 5} {
+		for _, cat := range []dataset.CategoryID{dataset.NoCategory, 3} {
+			b.Run(fmt.Sprintf("n=100k/k=%d/cat=%d", k, cat), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					nearestSink = ix.Nearest(qs[i%len(qs)], k, cat)
+				}
+			})
 		}
 	}
 }

@@ -16,7 +16,11 @@
 // tree once, so the objects of any node, all of them or one category's,
 // form one contiguous run. A core's points are a view of its run, and
 // Gather returns a category's objects in any rectangle as the runs of the
-// nodes the rectangle covers plus the filtered runs of the nodes it cuts.
+// nodes the rectangle covers plus the filtered runs of the nodes it cuts,
+// and Nearest finds the objects nearest to a point by a depth-first
+// descent of the same tree. It is the repository's one spatial index:
+// NewPointIndex builds it over bare points, such as a road network's
+// nodes, which the travel-distance metric snaps to.
 //
 // Lemma 1 discipline: algorithms enumerate a tuple only inside the
 // ac-subspace whose core contains the tuple's first point, so every
@@ -25,7 +29,6 @@ package partition
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -62,14 +65,14 @@ type Partition struct {
 	Bounds geo.Rect
 }
 
-// Index holds the dataset's positions in path order: the order of a
-// depth-first walk of the midpoint tree, low half before high half. It
-// stores no keys: a node's run splits into its halves by a binary search
-// on the split test itself (see cut). Build it once per dataset and reuse
-// it across queries (the partition depends on the query radius, the
-// index does not).
+// Index holds the dataset's positions (or NewPointIndex's points) in path
+// order: the order of a depth-first walk of the midpoint tree, low half
+// before high half. It stores no keys: a node's run splits into its
+// halves by a binary search on the split test itself (see cut). Build it
+// once per dataset and reuse it across queries (the partition depends on
+// the query radius, the index does not).
 type Index struct {
-	xs, ys []float64 // the dataset's coordinate slices, read, not copied
+	xs, ys []float64 // the coordinates of position i are xs[i], ys[i]
 	bounds geo.Rect
 	// all holds every position in path order; byCat holds each
 	// category's positions in path order, category c's run being
@@ -79,19 +82,11 @@ type Index struct {
 	cache      partitionCache
 }
 
-// NewIndex orders ds's positions along the midpoint tree over its bounds.
+// NewIndex orders ds's positions along the midpoint tree over its
+// bounds. It reads the dataset's coordinate slices without copying them.
 func NewIndex(ds *dataset.Dataset) *Index {
 	xs, ys := ds.Coords()
-	ix := &Index{xs: xs, ys: ys, bounds: ds.Bounds()}
-	pts := make([]pathPoint, ds.Len())
-	for i := range pts {
-		pts[i] = pathPoint{xs[i], ys[i], int32(i)}
-	}
-	order(pts, ix.bounds, 0)
-	ix.all = make([]int32, len(pts))
-	for i, p := range pts {
-		ix.all[i] = p.pos
-	}
+	ix := build(xs, ys, ds.Bounds())
 	// A counting sort by category keeps path order within each category,
 	// and a subsequence of a path-ordered run is path-ordered.
 	ix.catOff = make([]int32, ds.NumCategories()+1)
@@ -102,13 +97,40 @@ func NewIndex(ds *dataset.Dataset) *Index {
 		ix.catOff[c] += ix.catOff[c-1]
 	}
 	next := append([]int32(nil), ix.catOff[:len(ix.catOff)-1]...)
-	ix.byCat = make([]int32, len(pts))
+	ix.byCat = make([]int32, len(ix.all))
 	for _, pos := range ix.all {
 		c := ds.Category(int(pos))
 		ix.byCat[next[c]] = pos
 		next[c]++
 	}
 	return ix
+}
+
+// NewPointIndex indexes pts, which must be finite (the split recursion
+// never separates NaN coordinates), with position i at pts[i]. It copies
+// the coordinates and has no categories: Nearest and Gather take
+// dataset.NoCategory.
+func NewPointIndex(pts []geo.Point) *Index {
+	xs, ys := make([]float64, len(pts)), make([]float64, len(pts))
+	for i, p := range pts {
+		xs[i], ys[i] = p.X, p.Y
+	}
+	return build(xs, ys, geo.RectFromPoints(pts))
+}
+
+// build orders the positions of the points (xs[i], ys[i]), which bounds
+// contains, along the midpoint tree over bounds.
+func build(xs, ys []float64, bounds geo.Rect) *Index {
+	pts := make([]pathPoint, len(xs))
+	for i := range pts {
+		pts[i] = pathPoint{xs[i], ys[i], int32(i)}
+	}
+	order(pts, bounds, 0)
+	all := make([]int32, len(pts))
+	for i, p := range pts {
+		all[i] = p.pos
+	}
+	return &Index{xs: xs, ys: ys, bounds: bounds, all: all}
 }
 
 // pathPoint is one point of the build: its coordinates beside its
@@ -288,40 +310,54 @@ type Neighbor struct {
 
 // Nearest returns the k objects of category cat (every object for
 // dataset.NoCategory) nearest to q, by distance and then position, or
-// fewer when the category holds fewer. It opens the nodes best-first,
-// by their rectangle's distance from q, and stops at the first that
-// lies farther than the k-th object found.
+// fewer when the category holds fewer. The search is depth-first: it
+// descends the half on q's side of each split first, and skips a half
+// whose rectangle lies farther from q than the k-th object found. A half
+// at exactly that distance may hold a tie of lower position, so it is
+// searched. The result is the search's only allocation.
 func (ix *Index) Nearest(q geo.Point, k int, cat dataset.CategoryID) []Neighbor {
 	run := ix.run(cat)
 	if k <= 0 || len(run) == 0 {
 		return nil
 	}
-	var out []Neighbor
-	pq := nodeQueue{{dist: ix.bounds.MinDistPoint(q), rect: ix.bounds, run: run}}
-	for len(pq) > 0 {
-		nd := heap.Pop(&pq).(queuedNode)
-		if len(out) == k && nd.dist > out[k-1].Dist {
-			break
+	return ix.nearest(make([]Neighbor, 0, min(k, len(run))), run, ix.bounds, 0, q, k)
+}
+
+// nearest merges the objects of the node with run and rect at level into
+// out, the k nearest to q found so far.
+func (ix *Index) nearest(out []Neighbor, run []int32, rect geo.Rect, level int, q geo.Point, k int) []Neighbor {
+	if len(out) == k && rect.MinDistPoint(q) > out[k-1].Dist {
+		return out
+	}
+	if len(run) == 1 || degenerate(rect) {
+		// A leaf of the build: a degenerate node is unordered.
+		for _, pos := range run {
+			out = insertNeighbor(out, Neighbor{Pos: pos, Dist: ix.loc(pos).Dist(q)}, k)
 		}
-		if len(nd.run) == 1 || degenerate(nd.rect) {
-			for _, pos := range nd.run {
-				out = insertNeighbor(out, Neighbor{Pos: pos, Dist: ix.loc(pos).Dist(q)}, k)
-			}
-			continue
-		}
-		low, high, mid, onX := halves(nd.rect, nd.level)
-		c := ix.cut(nd.run, mid, onX)
-		for _, child := range [2]queuedNode{{rect: low, run: nd.run[:c]}, {rect: high, run: nd.run[c:]}} {
-			if len(child.run) > 0 {
-				child.dist, child.level = child.rect.MinDistPoint(q), nd.level+1
-				heap.Push(&pq, child)
-			}
-		}
+		return out
+	}
+	low, high, mid, onX := halves(rect, level)
+	c := ix.cut(run, mid, onX)
+	near, far, nearRect, farRect := run[:c], run[c:], low, high
+	side := q.Y
+	if onX {
+		side = q.X
+	}
+	if side > mid {
+		near, far, nearRect, farRect = far, near, high, low
+	}
+	if len(near) > 0 {
+		out = ix.nearest(out, near, nearRect, level+1, q, k)
+	}
+	if len(far) > 0 {
+		out = ix.nearest(out, far, farRect, level+1, q, k)
 	}
 	return out
 }
 
-// insertNeighbor keeps out sorted ascending by (dist, pos), capped at k.
+// insertNeighbor inserts nb into out, which is sorted ascending by (dist,
+// pos) and holds at most k, without growing it past its capacity: when
+// out holds k, its last neighbour drops off.
 func insertNeighbor(out []Neighbor, nb Neighbor, k int) []Neighbor {
 	i, _ := slices.BinarySearchFunc(out, nb, func(a, b Neighbor) int {
 		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Pos, b.Pos))
@@ -329,27 +365,10 @@ func insertNeighbor(out []Neighbor, nb Neighbor, k int) []Neighbor {
 	if i >= k {
 		return out
 	}
-	return slices.Insert(out, i, nb)[:min(len(out)+1, k)]
-}
-
-// queuedNode is a node waiting in Nearest's queue, keyed by the distance
-// from q to its rectangle.
-type queuedNode struct {
-	dist  float64
-	rect  geo.Rect
-	run   []int32
-	level int
-}
-
-type nodeQueue []queuedNode
-
-func (q nodeQueue) Len() int           { return len(q) }
-func (q nodeQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q nodeQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *nodeQueue) Push(x any)        { *q = append(*q, x.(queuedNode)) }
-func (q *nodeQueue) Pop() any {
-	old := *q
-	it := old[len(old)-1]
-	*q = old[:len(old)-1]
-	return it
+	if len(out) < k {
+		out = append(out, Neighbor{})
+	}
+	copy(out[i+1:], out[i:])
+	out[i] = nb
+	return out
 }

@@ -58,6 +58,9 @@ func TestEmptyIndex(t *testing.T) {
 	if got := ix.Nearest(geo.Point{}, 3, dataset.NoCategory); len(got) != 0 {
 		t.Errorf("empty index found neighbors %v", got)
 	}
+	if got := NewPointIndex(nil).Nearest(geo.Point{}, 3, dataset.NoCategory); len(got) != 0 {
+		t.Errorf("empty point index found neighbors %v", got)
+	}
 }
 
 func TestInvalidRadius(t *testing.T) {

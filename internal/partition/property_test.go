@@ -246,16 +246,27 @@ func TestGatherMatchesScan(t *testing.T) {
 
 // TestNearestMatchesBrute holds Nearest to a brute ranking by distance
 // and then position, ties included, with and without a category: from
-// data points, from points between them and from points outside the
-// bounds, for k from 1 to past the category's size.
+// data points, from points between them (half-integer points tie four
+// grid points) and from points outside the bounds, for k from -1 to past
+// the category's size. The same points indexed by NewPointIndex take the
+// same path order and give the same answers without a category, and none
+// with one.
 func TestNearestMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	for _, f := range propertyFixtures(rng) {
 		ds := pointsDataset(t, f.pts, 3)
-		ix := NewIndex(ds)
+		ix, pix := NewIndex(ds), NewPointIndex(f.pts)
+		if got, want := pix.Gather(nil, dataset.NoCategory, ds.Bounds()), ix.Gather(nil, dataset.NoCategory, ds.Bounds()); !slices.Equal(got, want) {
+			t.Fatalf("%s: the point index's path order %v, the dataset index's %v", f.name, got, want)
+		}
 		queries := randPoints(rng, 20, 140)
 		for i := 0; i < len(f.pts); i += 11 {
 			queries = append(queries, f.pts[i])
+		}
+		for x := -0.5; x < 70; x += 7 {
+			for y := -0.5; y < 70; y += 9 {
+				queries = append(queries, geo.Point{X: x, Y: y})
+			}
 		}
 		for _, q := range queries {
 			for c := dataset.NoCategory; int(c) < ds.NumCategories(); c++ {
@@ -268,10 +279,17 @@ func TestNearestMatchesBrute(t *testing.T) {
 				slices.SortFunc(all, func(a, b Neighbor) int {
 					return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Pos, b.Pos))
 				})
-				for _, k := range []int{1, 2, 5, 17, len(all) + 3} {
-					want := all[:min(k, len(all))]
+				for _, k := range []int{-1, 0, 1, 2, 5, 17, len(all) + 3} {
+					want := all[:max(0, min(k, len(all)))]
 					if got := ix.Nearest(q, k, c); !slices.Equal(got, want) {
 						t.Fatalf("%s from %v category %d k %d: %v, brute %v", f.name, q, c, k, got, want)
+					}
+					got := pix.Nearest(q, k, c)
+					if c != dataset.NoCategory {
+						want = nil
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s point index from %v category %d k %d: %v, brute %v", f.name, q, c, k, got, want)
 					}
 				}
 			}

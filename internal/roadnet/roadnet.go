@@ -7,7 +7,9 @@
 // the nearest road node) + shortest path + egress leg; because every edge
 // weight is at least its straight-line length, travel distance dominates
 // the Euclidean distance, which keeps HSP's and LORA's Euclidean space
-// partitioning sound under this metric (see query.Metric).
+// partitioning sound under this metric (see query.Metric). A location
+// snaps to its nearest road node through a partition.Index over the
+// nodes, the midpoint tree the engine searches its objects with.
 //
 // Shortest-path trees are computed with Dijkstra's algorithm and cached
 // per source node with an LRU policy, since example-based queries evaluate
@@ -21,8 +23,9 @@ import (
 	"math/rand"
 	"sync"
 
+	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
-	"spatialseq/internal/rtree"
+	"spatialseq/internal/partition"
 )
 
 // Network is an immutable embedded road graph. Build one with NewNetwork
@@ -31,7 +34,7 @@ import (
 type Network struct {
 	nodes []geo.Point
 	adj   [][]halfEdge
-	snap  *rtree.Tree
+	snap  *partition.Index // the nodes on the midpoint tree
 }
 
 type halfEdge struct {
@@ -40,11 +43,17 @@ type halfEdge struct {
 }
 
 // NewNetwork builds a network from node locations and undirected edges.
-// Edge weights must be >= the straight-line distance between their
-// endpoints; a weight of 0 means "use the straight-line distance".
+// Node locations must be finite. Edge weights must be >= the
+// straight-line distance between their endpoints; a weight of 0 means
+// "use the straight-line distance".
 func NewNetwork(nodes []geo.Point, edges [][2]int32, weights []float64) (*Network, error) {
 	if len(weights) != 0 && len(weights) != len(edges) {
 		return nil, fmt.Errorf("roadnet: %d weights for %d edges", len(weights), len(edges))
+	}
+	for i, p := range nodes {
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			return nil, fmt.Errorf("roadnet: node %d has non-finite location %v", i, p)
+		}
 	}
 	n := &Network{
 		nodes: append([]geo.Point(nil), nodes...),
@@ -62,6 +71,9 @@ func NewNetwork(nodes []geo.Point, edges [][2]int32, weights []float64) (*Networ
 		w := straight
 		if len(weights) != 0 && weights[i] != 0 {
 			w = weights[i]
+			if math.IsNaN(w) {
+				return nil, fmt.Errorf("roadnet: edge %d weight is NaN", i)
+			}
 			if w < straight {
 				return nil, fmt.Errorf("roadnet: edge %d weight %g below straight-line distance %g", i, w, straight)
 			}
@@ -69,7 +81,7 @@ func NewNetwork(nodes []geo.Point, edges [][2]int32, weights []float64) (*Networ
 		n.adj[a] = append(n.adj[a], halfEdge{to: b, w: w})
 		n.adj[b] = append(n.adj[b], halfEdge{to: a, w: w})
 	}
-	n.snap = rtree.New(n.nodes, nil)
+	n.snap = partition.NewPointIndex(n.nodes)
 	return n, nil
 }
 
@@ -79,13 +91,14 @@ func (n *Network) NumNodes() int { return len(n.nodes) }
 // Node returns the location of node i.
 func (n *Network) Node(i int32) geo.Point { return n.nodes[i] }
 
-// SnapNode returns the road node nearest to p (-1 for an empty network).
+// SnapNode returns the road node nearest to p, the lowest-numbered one
+// on a tie, or -1 for an empty network.
 func (n *Network) SnapNode(p geo.Point) int32 {
-	nb := n.snap.Nearest(p, 1, nil)
+	nb := n.snap.Nearest(p, 1, dataset.NoCategory)
 	if len(nb) == 0 {
 		return -1
 	}
-	return nb[0].Ref
+	return nb[0].Pos
 }
 
 // ShortestPaths runs Dijkstra from src and returns the distance to every

@@ -57,6 +57,20 @@ func TestNewNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork(nodes, [][2]int32{{0, 1}}, []float64{1, 2}); err == nil {
 		t.Error("weight count mismatch should fail")
 	}
+	if _, err := NewNetwork(nodes, [][2]int32{{0, 1}}, []float64{math.NaN()}); err == nil {
+		t.Error("NaN weight should fail")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []geo.Point{{X: nan, Y: nan}, {X: 1, Y: nan}, {X: inf, Y: 0}, {X: 0, Y: -inf}} {
+		// An edge to a NaN node would pass the weight check: w < NaN is false.
+		nodes := []geo.Point{{X: 0, Y: 0}, bad, bad, {X: 2, Y: 2}}
+		if _, err := NewNetwork(nodes, [][2]int32{{0, 1}, {2, 3}}, nil); err == nil {
+			t.Errorf("node %v should fail", bad)
+		}
+		if _, err := NewNetwork(nodes, nil, nil); err == nil {
+			t.Errorf("node %v without edges should fail", bad)
+		}
+	}
 }
 
 func TestManhattanDistanceOnPerfectGrid(t *testing.T) {
@@ -190,5 +204,92 @@ func TestEmptyNetworkSnap(t *testing.T) {
 	a, b := geo.Point{X: 1, Y: 1}, geo.Point{X: 4, Y: 5}
 	if d := m.Dist(a, b); d != 5 {
 		t.Errorf("empty network falls back to Euclidean; got %g", d)
+	}
+}
+
+// bruteSnap ranks every node by distance from p and then by index.
+func bruteSnap(net *Network, p geo.Point) int32 {
+	best := int32(-1)
+	for i := int32(0); int(i) < net.NumNodes(); i++ {
+		if best < 0 || net.Node(i).Dist(p) < net.Node(best).Dist(p) {
+			best = i
+		}
+	}
+	return best
+}
+
+// TestSnapNodeMatchesBrute holds SnapNode to a brute scan ranked by
+// distance and then node index: at cell centres, which tie four nodes,
+// at the nodes, and at random points inside and outside the bounds, on
+// street grids from 2x2 up, on a network whose nodes repeat a few
+// locations, and on a single node.
+func TestSnapNodeMatchesBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	type snapCase struct {
+		net     *Network
+		centres []geo.Point
+	}
+	var cases []snapCase
+	for _, cfg := range []GridConfig{
+		{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, NX: 2, NY: 2},
+		{Bounds: geo.Rect{MaxX: 10, MaxY: 10}, NX: 11, NY: 11, DropFrac: 0.1, Meander: 0.3, Seed: 1},
+		{Bounds: geo.Rect{MinX: -3.7, MinY: 1.3, MaxX: 41.9, MaxY: 20.2}, NX: 37, NY: 23, DropFrac: 0.1, Meander: 0.3, Seed: 2},
+	} {
+		net, err := Grid(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := snapCase{net: net}
+		for y := 0; y+1 < cfg.NY; y++ {
+			for x := 0; x+1 < cfg.NX; x++ {
+				a, b := net.Node(int32(y*cfg.NX+x)), net.Node(int32((y+1)*cfg.NX+x+1))
+				c.centres = append(c.centres, geo.Point{X: (a.X + b.X) / 2, Y: (a.Y + b.Y) / 2})
+			}
+		}
+		cases = append(cases, c)
+	}
+	sites := []geo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 1}, {X: 1, Y: 1}, {X: 0.5, Y: 0.5}, {X: 3, Y: -2}}
+	var dups []geo.Point
+	for i := 0; i < 60; i++ {
+		dups = append(dups, sites[rng.Intn(len(sites))])
+	}
+	net, err := NewNetwork(dups, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, snapCase{net: net, centres: []geo.Point{{X: 0.5, Y: 0}, {X: 0.25, Y: 0.25}, {X: 0.5, Y: 1}, {X: 2, Y: -1}}})
+	single, err := NewNetwork([]geo.Point{{X: 2, Y: 3}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, snapCase{net: single, centres: []geo.Point{{X: -5, Y: 40}, {X: 2, Y: 3.5}}})
+	for ci, c := range cases {
+		var nodes []geo.Point
+		for i := int32(0); int(i) < c.net.NumNodes(); i++ {
+			nodes = append(nodes, c.net.Node(i))
+		}
+		b := geo.RectFromPoints(nodes)
+		queries := append(append([]geo.Point(nil), nodes...), c.centres...)
+		for i := 0; i < 500; i++ {
+			queries = append(queries, geo.Point{
+				X: b.MinX - b.Width() + rng.Float64()*3*b.Width(),
+				Y: b.MinY - b.Height() + rng.Float64()*3*b.Height(),
+			})
+		}
+		for _, q := range queries {
+			if got, want := c.net.SnapNode(q), bruteSnap(c.net, q); got != want {
+				t.Fatalf("network %d: SnapNode(%v) = %d, brute %d at %g", ci, q, got, want, c.net.Node(want).Dist(q))
+			}
+		}
+	}
+}
+
+// TestSnapNodeAllocatesOnlyItsResult bounds a snap at one allocation: the
+// search's one-neighbour result.
+func TestSnapNodeAllocatesOnlyItsResult(t *testing.T) {
+	net := testGrid(t, 0.1, 0.3)
+	q := geo.Point{X: 3.5, Y: 6.5}
+	if allocs := testing.AllocsPerRun(100, func() { net.SnapNode(q) }); allocs > 1 {
+		t.Errorf("SnapNode made %g allocations, want at most 1", allocs)
 	}
 }

@@ -28,10 +28,11 @@ go run ./cmd/benchdiff -gate "$out" "$out" >/dev/null
 # zero-alloc kernels still report 0 allocs/op), not a timing measurement.
 go test -run '^$' -bench . -benchtime 100x \
     ./internal/vectormath ./internal/geo ./internal/simil >/dev/null
-# The rank graph's benchmarks and the partition build's and gather's
-# print their allocs/op into the log; ten iterations keep the
-# 100k-point partition benchmarks to about a second.
+# The rank graph's benchmarks, the partition build's, gather's and
+# nearest search's, and the road network's node snap print their
+# allocs/op into the log; ten iterations keep the 100k-point partition
+# benchmarks to about a second.
 go test -run '^$' -bench . -benchtime 10x -benchmem \
-    ./internal/rankgraph ./internal/partition | grep '^Benchmark'
+    ./internal/rankgraph ./internal/partition ./internal/roadnet | grep '^Benchmark'
 
 echo "bench smoke: wrote $out ($(go run ./cmd/benchdiff "$out" "$out" | tail -1))"
