@@ -43,48 +43,38 @@ func SearchObserved(ctx context.Context, ds *dataset.Dataset, q *query.Query, st
 	}
 	sctx := simil.NewContext(ds, q)
 	m := sctx.M
-	csp := parent.Unit("dfs.candidates", 0, 0)
-	cands := make([][]simil.Cand, m)
-	var candTotal int64
-	for d := 0; d < m; d++ {
-		if fixed := q.Example.FixedDim(d); fixed >= 0 {
-			cands[d] = []simil.Cand{{Pos: fixed, Sim: sctx.AttrSim(d, fixed)}}
-		} else {
-			cands[d] = sctx.Candidates(d, ds.CategoryObjects(q.Example.Categories[d]))
-		}
-		candTotal += int64(len(cands[d]))
-	}
-	st.AddCandidates(candTotal)
-	st.RaiseSubspaceCandidates(candTotal)
-	csp.End()
-	st.AddSubspaces(1) // the baseline searches the whole space as one
-	heap := topk.New(q.Params.K)
 	s := &searcher{
 		ctx:     ctx,
 		sctx:    sctx,
-		cands:   cands,
-		heap:    heap,
+		cands:   make([][]simil.Cand, m),
+		heap:    topk.New(q.Params.K),
 		tuple:   make([]int32, m),
 		scratch: sctx.NewScratch(),
+		// The baseline searches the whole space as one subspace.
+		delta: stats.Snapshot{Subspaces: 1},
 	}
+	csp := parent.Unit("dfs.candidates", 0, 0)
+	var bs simil.BatchScratch
+	for d := 0; d < m; d++ {
+		if fixed := q.Example.FixedDim(d); fixed >= 0 {
+			s.cands[d] = []simil.Cand{{Pos: fixed, Sim: sctx.AttrSim(d, fixed)}}
+		} else {
+			pop := ds.CategoryObjects(q.Example.Categories[d])
+			s.cands[d] = sctx.CandidatesBatchInto(make([]simil.Cand, 0, len(pop)), d, pop, &bs)
+		}
+		s.delta.Candidates += int64(len(s.cands[d]))
+	}
+	s.delta.SubspaceCandidatesMax = s.delta.Candidates
+	csp.End()
 	sub := parent.Unit("dfs.search", 0, 0)
 	err := s.dfs(0, 0)
-	sub.EndWork(stats.Snapshot{
-		Subspaces:             1,
-		Candidates:            candTotal,
-		PrunedPrefixes:        s.pruned,
-		Tuples:                s.tuples,
-		Offered:               s.offered,
-		SubspaceCandidatesMax: candTotal,
-	})
-	st.AddPrunedPrefixes(s.pruned)
-	st.AddTuples(s.tuples)
-	st.AddOffered(s.offered)
+	sub.EndWork(s.delta)
+	st.Add(s.delta)
 	if err != nil {
 		return nil, err
 	}
 	msp := parent.Child("topk.merge")
-	res := heap.Results()
+	res := s.heap.Results()
 	msp.End()
 	return res, nil
 }
@@ -97,8 +87,9 @@ type searcher struct {
 	tuple   []int32
 	scratch *simil.Scratch
 	steps   int
-
-	pruned, tuples, offered int64
+	// delta is the search's work: the candidate lists' volume, then
+	// what the DFS hot loop counts into its plain fields.
+	delta stats.Snapshot
 }
 
 // checkEvery bounds how often the cancellation context is polled.
@@ -125,16 +116,16 @@ func (s *searcher) dfs(dim int, attrSum float64) error {
 		// baseline deliberately does not.)
 		attrBound := c.AttrBoundLoose(sum, dim+1)
 		if !s.heap.WouldAccept(c.Combine(1, attrBound)) {
-			s.pruned++
+			s.delta.PrunedPrefixes++
 			continue
 		}
 		s.tuple[dim] = cand.Pos
 		added := s.scratch.Push(c.DS.Loc(int(cand.Pos)), cand.Sim)
 		if dim+1 == c.M {
-			s.tuples++
+			s.delta.Tuples++
 			if c.NormOK(s.scratch.PrefixNorm()) {
 				if s.heap.Offer(s.tuple, c.TupleSim(s.scratch.Y, s.scratch.AttrSims)) {
-					s.offered++
+					s.delta.Offered++
 				}
 			}
 		} else {
@@ -144,7 +135,7 @@ func (s *searcher) dfs(dim int, attrSum float64) error {
 					return err
 				}
 			} else {
-				s.pruned++
+				s.delta.PrunedPrefixes++
 			}
 		}
 		s.scratch.Pop(added)

@@ -34,7 +34,7 @@ func (s *searcher) dfsPerCandidate(dim int, attrSum float64) (tailUsed int) {
 			attrBound = c.AttrBoundLoose(sum, dim+1)
 		}
 		if !s.heap.WouldAccept(c.Combine(1, attrBound)) {
-			s.local.pruned++
+			s.delta.PrunedPrefixes++
 			failed = true
 			continue
 		}
@@ -46,14 +46,14 @@ func (s *searcher) dfsPerCandidate(dim int, attrSum float64) (tailUsed int) {
 		}
 		switch {
 		case dim+1 == c.M:
-			s.local.tuples++
+			s.delta.Tuples++
 			if c.NormOK(s.scratch.PrefixNorm()) && s.heap.Offer(s.tuple, c.TupleSim(s.scratch.Y, s.scratch.AttrSims)) {
-				s.local.offered++
+				s.delta.Offered++
 			}
 		case !math.IsInf(spatialBound, -1) && s.heap.WouldAccept(c.Combine(spatialBound, attrBound)):
 			tailUsed += s.dfsPerCandidate(dim+1, sum)
 		default:
-			s.local.pruned++
+			s.delta.PrunedPrefixes++
 		}
 		s.scratch.Pop(added)
 	}
@@ -65,10 +65,7 @@ func (s *searcher) dfsPerCandidate(dim int, attrSum float64) (tailUsed int) {
 func searchPerCandidate(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Options) ([]topk.Entry, stats.Snapshot, int) {
 	tailUsed := 0
 	res, work, _ := searchSequential(t, ds, q, opt,
-		func(s *searcher, p *prepState, ss *partition.Subspace) bool {
-			skip, err := s.prepareInto(p, ds, q, ss)
-			return err != nil || skip
-		},
+		func(s *searcher, p *prepState, ss *partition.Subspace) bool { return s.prepareInto(p, ds, q, ss) },
 		func(s *searcher) { tailUsed += s.dfsPerCandidate(0, 0) })
 	return res, testutil.EnumerationWork(work), tailUsed
 }

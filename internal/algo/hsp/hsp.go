@@ -67,11 +67,13 @@ type Options struct {
 	// Span, when live, is the parent span the search nests its
 	// hierarchical timeline under: "hsp.partition", "hsp.simprep" and
 	// "hsp.bound" children for the plan, then one "hsp.candidates" unit
-	// span per subspace prep and one "hsp.dfs" unit span per enumerated chunk,
-	// each tagged with both its worker lane and owning subspace and
-	// carrying that unit's work-counter delta. Sequential searches run
-	// every unit on lane 0, one chunk per searched subspace. The zero
-	// Span disables span tracing at no cost.
+	// span per subspace prep and one "hsp.dfs" unit span per enumerated
+	// chunk, each tagged with both its worker lane and owning subspace
+	// and carrying that unit's work-counter delta. The memo fill and
+	// the bound pass carry theirs too, so the deltas sum to Stats but
+	// for SubspacesBounded. Sequential searches run every unit on lane
+	// 0, one chunk per searched subspace. The zero Span disables span
+	// tracing at no cost.
 	Span span.Span
 }
 
@@ -106,7 +108,8 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	if err != nil {
 		return nil, err
 	}
-	opt.Stats.AddSubspacesBounded(int64(cut))
+	// No unit ran the bounded subspaces, so no span carries them.
+	opt.Stats.Add(stats.Snapshot{SubspacesBounded: int64(cut)})
 	msp := opt.Span.Child("topk.merge")
 	res := sink.Results()
 	msp.End()
@@ -149,64 +152,43 @@ func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *qu
 
 // Prep gathers subspace sub's candidate lists into p — exactly once per
 // subspace, keeping the Lemma-1 discipline — and returns its dim-0
-// candidate count, 0 when the subspace is skipped. The "hsp.candidates"
-// unit span carries the subspace-level work delta (candidate volume,
-// skip marks, memo hits); enumeration counters land on Chunk's spans.
+// candidate count, 0 when the subspace is skipped. Its delta (candidate
+// volume, skip marks, memo hits) goes to the "hsp.candidates" unit span
+// and to the counters alike; enumeration counters come from Chunk.
 func (s *searcher) Prep(p *prepState, w, sub int) (int, error) {
 	sp := s.span.Unit("hsp.candidates", w, sub)
-	skip, err := s.prepareInto(p, s.sctx.DS, s.q, s.work[sub])
-	// Every similarity a prep reads comes from the memo when there is one.
-	var hits int64
-	if s.sctx.MemoShared() {
-		hits = p.scored
-	}
-	s.st.AddAttrSimMemoHits(hits)
-	if err != nil {
-		sp.End()
-		return 0, err
-	}
+	var delta stats.Snapshot
+	skip := s.prepareInto(p, s.sctx.DS, s.q, s.work[sub])
 	if skip {
-		s.st.AddSubspacesSkipped(1)
-		sp.EndWork(stats.Snapshot{SubspacesSkipped: 1, AttrSimMemoHits: hits})
+		delta.SubspacesSkipped = 1
+	} else {
+		delta.Subspaces, delta.Candidates, delta.SubspaceCandidatesMax = 1, p.scored, p.scored
+	}
+	// Every similarity a prep reads comes from the memo when there is one.
+	if s.sctx.MemoShared() {
+		delta.AttrSimMemoHits = p.scored
+	}
+	sp.EndWork(delta)
+	s.st.Add(delta)
+	if skip {
 		return 0, nil
 	}
-	s.st.AddSubspaces(1)
-	s.st.AddCandidates(p.scored)
-	s.st.RaiseSubspaceCandidates(p.scored)
-	sp.EndWork(stats.Snapshot{
-		Subspaces:             1,
-		Candidates:            p.scored,
-		AttrSimMemoHits:       hits,
-		SubspaceCandidatesMax: p.scored,
-	})
 	return len(p.cands[0]), nil
 }
 
 // Chunk runs Exact-DFS over the dim-0 candidate range [lo, hi) of
-// subspace sub, prepared in p. The "hsp.dfs" unit span carries the
-// enumeration work delta, attributed to the owning subspace, so
-// Tree.Skew keeps measuring per-lane busy time and the straggler
-// attribution keeps naming the heaviest subspace.
+// subspace sub, prepared in p. The DFS counts into s.delta, which goes
+// to the "hsp.dfs" unit span, attributed to the owning subspace, and to
+// the counters alike, so Tree.Skew keeps measuring per-lane busy time
+// and the straggler attribution keeps naming the heaviest subspace.
 func (s *searcher) Chunk(p *prepState, w, sub, lo, hi int) error {
-	s.local = localCounters{}
+	s.delta = stats.Snapshot{}
 	sp := s.span.Unit("hsp.dfs", w, sub)
 	s.attach(p)
 	err := s.dfs(0, 0, lo, hi)
-	s.st.AddPrunedPrefixes(s.local.pruned)
-	s.st.AddTuples(s.local.tuples)
-	s.st.AddOffered(s.local.offered)
-	sp.EndWork(stats.Snapshot{
-		PrunedPrefixes: s.local.pruned,
-		Tuples:         s.local.tuples,
-		Offered:        s.local.offered,
-	})
+	sp.EndWork(s.delta)
+	s.st.Add(s.delta)
 	return err
-}
-
-// localCounters batch the per-chunk statistics so the DFS hot loop
-// touches plain ints, not atomics.
-type localCounters struct {
-	pruned, tuples, offered int64
 }
 
 // prepState is one subspace's prepared search state: the per-dimension
@@ -243,7 +225,9 @@ type searcher struct {
 	rbarSuffix []float64
 	steps      int
 	st         *stats.Stats
-	local      localCounters
+	// delta is the current chunk's work: the DFS hot loop counts into
+	// its plain fields.
+	delta stats.Snapshot
 }
 
 // attach points the DFS at a prepared subspace's candidate lists and
@@ -259,7 +243,7 @@ func (s *searcher) attach(p *prepState) {
 // candidate (the subspace cannot produce a tuple) or a pinned object
 // falls outside the ac-subspace. Each list is sorted only in its head,
 // the candidates the DFS can still reach (see sortHead).
-func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query, ss *partition.Subspace) (skip bool, err error) {
+func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query, ss *partition.Subspace) (skip bool) {
 	c := s.sctx
 	m := c.M
 	if p.cands == nil {
@@ -274,7 +258,7 @@ func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query
 		}
 		if fixed := q.Example.FixedDim(d); fixed >= 0 {
 			if !region.Contains(ds.Loc(int(fixed))) {
-				return true, nil
+				return true
 			}
 			p.cands[d] = append(p.cands[d][:0], simil.Cand{Pos: fixed, Sim: c.AttrSim(d, fixed)})
 		} else {
@@ -282,7 +266,7 @@ func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query
 		}
 		p.scored += int64(len(p.cands[d]))
 		if len(p.cands[d]) == 0 {
-			return true, nil
+			return true
 		}
 	}
 	// Every list leads with its maximum.
@@ -296,7 +280,7 @@ func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query
 		s.sortHead(p.cands[d], d, prefix, p.rbarSuffix)
 		prefix += best
 	}
-	return false, nil
+	return false
 }
 
 // sortHead moves to the front of dim's list, and sorts, the candidates
@@ -366,16 +350,16 @@ func (s *searcher) dfs(dim int, attrSum float64, lo, hi int) error {
 			// level and count what testing each of them would have
 			// pruned, which skips the earlier tuple objects the tail
 			// still holds.
-			s.local.pruned += int64(len(level)-i) - int64(s.repeats[dim]-skipped)
+			s.delta.PrunedPrefixes += int64(len(level)-i) - int64(s.repeats[dim]-skipped)
 			break
 		}
 		s.tuple[dim] = cand.Pos
 		added := s.scratch.Push(c.DS.Loc(int(cand.Pos)), cand.Sim)
 		if dim+1 == c.M {
-			s.local.tuples++
+			s.delta.Tuples++
 			if c.NormOK(s.scratch.PrefixNorm()) {
 				if s.heap.Offer(s.tuple, c.TupleSim(s.scratch.Y, s.scratch.AttrSims)) {
-					s.local.offered++
+					s.delta.Offered++
 				}
 			}
 		} else {
@@ -391,7 +375,7 @@ func (s *searcher) dfs(dim int, attrSum float64, lo, hi int) error {
 					return err
 				}
 			} else {
-				s.local.pruned++
+				s.delta.PrunedPrefixes++
 			}
 		}
 		s.scratch.Pop(added)

@@ -48,7 +48,7 @@ func searchSequential(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Opt
 		snap = snap.Add(d)
 	}
 	snap.SubspacesBounded = int64(cut)
-	snap.PrunedPrefixes, snap.Tuples, snap.Offered = w.s.local.pruned, w.s.local.tuples, w.s.local.offered
+	snap = snap.Add(w.s.delta)
 	p := new(prepState)
 	for sub := ref.Prepared; sub < len(work); sub++ {
 		if _, err := w.Prep(p, 0, sub); err != nil {
@@ -217,10 +217,7 @@ func TestPrepMatchesFullSort(t *testing.T) {
 			}
 			searchSequential(t, c.DS, c.Q, opt,
 				func(s *searcher, p *prepState, ss *partition.Subspace) bool {
-					skip, err := s.prepareInto(p, c.DS, c.Q, ss)
-					if err != nil {
-						t.Fatal(err)
-					}
+					skip := s.prepareInto(p, c.DS, c.Q, ss)
 					if !skip {
 						probe.inspect(s, p, c.Q)
 					}

@@ -22,7 +22,7 @@ func (s *searcher) cellDFSPerCandidate(dim int, scoreSum float64) error {
 	for _, sc := range s.cellLists[dim] {
 		sum := scoreSum + sc.score
 		if !s.heap.WouldAccept(c.Combine(1, (sum+s.rbarSuffix[dim+1])/float64(c.M))) {
-			s.local.prunedCells++
+			s.delta.PrunedCellPrefixes++
 			continue
 		}
 		s.cellTuple[dim] = sc.cell
@@ -43,7 +43,7 @@ func (s *searcher) cellDFSPerCandidate(dim int, scoreSum float64) error {
 }
 
 // perCandidateWorker is the searcher with cellDFSPerCandidate in place
-// of cellDFS. Its counters stay in the searcher's batch.
+// of cellDFS. Its counters stay in the searcher's delta, never reset.
 type perCandidateWorker struct{ *searcher }
 
 func (w perCandidateWorker) Prep(p *prepState, _, sub int) (int, error) {
@@ -77,8 +77,7 @@ func searchPerCandidate(t *testing.T, ds *dataset.Dataset, q *query.Query, opt O
 		func() sched.Worker[prepState] { return perCandidateWorker{s} }); err != nil {
 		t.Fatal(err)
 	}
-	return heap.Results(), stats.Snapshot{Tuples: s.local.tuples, Offered: s.local.offered,
-		CellTuples: s.local.cellTuples, PrunedCellPrefixes: s.local.prunedCells, RankPops: s.local.pops}
+	return heap.Results(), testutil.EnumerationWork(s.delta)
 }
 
 // TestCutoffMatchesPerCandidateLoop holds the sequential search to the

@@ -72,13 +72,15 @@ type Options struct {
 	// Span, when live, is the parent span the search nests its
 	// hierarchical timeline under: "lora.partition", "lora.simprep" and
 	// "lora.bound" children for the plan, then one "lora.sample" unit
-	// span per subspace prep and one "lora.enum" unit span per enumerated chunk,
-	// each tagged with both its worker lane and owning subspace and
-	// carrying that unit's work-counter delta. Each point enumeration
-	// is a "lora.points" Tally of its chunk's span: timed apart from
-	// the cell DFS, without a tree node. Sequential searches run every
-	// unit on lane 0, one chunk per searched subspace. The zero Span
-	// disables span tracing at no cost.
+	// span per subspace prep and one "lora.enum" unit span per enumerated
+	// chunk, each tagged with both its worker lane and owning subspace
+	// and carrying that unit's work-counter delta. The memo fill and
+	// the bound pass carry theirs too, so the deltas sum to Stats but
+	// for SubspacesBounded. Each point enumeration is a "lora.points"
+	// Tally of its chunk's span: timed apart from the cell DFS, without
+	// a tree node. Sequential searches run every unit on lane 0, one
+	// chunk per searched subspace. The zero Span disables span tracing
+	// at no cost.
 	Span span.Span
 }
 
@@ -111,7 +113,8 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	if err != nil {
 		return nil, err
 	}
-	opt.Stats.AddSubspacesBounded(int64(cut))
+	// No unit ran the bounded subspaces, so no span carries them.
+	opt.Stats.Add(stats.Snapshot{SubspacesBounded: int64(cut)})
 	msp := opt.Span.Child("topk.merge")
 	res := sink.Results()
 	msp.End()
@@ -146,90 +149,33 @@ func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *qu
 	}
 }
 
-// localCounters batch per-subspace statistics so hot loops touch plain
-// ints, not atomics.
-type localCounters struct {
-	candidates, sampledOut, cellTuples, prunedCells, pops, tuples, offered int64
-	// scored counts the similarities a prep read: its candidates and
-	// its pinned objects.
-	scored int64
-}
-
-func (s *searcher) flushStats() {
-	s.st.AddCandidates(s.local.candidates)
-	s.st.AddSampledOut(s.local.sampledOut)
-	s.st.AddCellTuples(s.local.cellTuples)
-	s.st.AddPrunedCellPrefixes(s.local.prunedCells)
-	s.st.AddRankPops(s.local.pops)
-	s.st.AddTuples(s.local.tuples)
-	s.st.AddOffered(s.local.offered)
-	s.st.AddAttrSimMemoHits(s.memoHits())
-	s.st.RaiseSubspaceCandidates(s.local.candidates)
-	s.local = localCounters{}
-}
-
-// memoHits is how many of the similarities the batch read came from the
-// memo: all of them when there is one.
-func (s *searcher) memoHits() int64 {
-	if s.sctx.MemoShared() {
-		return s.local.scored
-	}
-	return 0
-}
-
-// localDelta converts the current counter batch into a plain work
-// snapshot — the delta attached to chunk spans, which carry enumeration
-// work but no subspace marks.
-func (s *searcher) localDelta() stats.Snapshot {
-	return stats.Snapshot{
-		Candidates:         s.local.candidates,
-		SampledOut:         s.local.sampledOut,
-		CellTuples:         s.local.cellTuples,
-		PrunedCellPrefixes: s.local.prunedCells,
-		RankPops:           s.local.pops,
-		Tuples:             s.local.tuples,
-		Offered:            s.local.offered,
-		AttrSimMemoHits:    s.memoHits(),
-	}
-}
-
-// localSnapshot converts the current per-subspace counter batch into
-// the work delta attached to the prep span; searched selects between
-// the searched and skipped subspace count.
-func (s *searcher) localSnapshot(searched bool) stats.Snapshot {
-	snap := s.localDelta()
-	snap.SubspaceCandidatesMax = s.local.candidates
-	if searched {
-		snap.Subspaces = 1
-	} else {
-		snap.SubspacesSkipped = 1
-	}
-	return snap
-}
-
 // prepState is one subspace's prepared search state: the grid, the
 // sampled (dimension, cell) buckets and the sorted cell lists with
-// their Eq.-style suffix maxima. sched.Run pools prep states, hands
-// each from the preparing worker to the chunk workers (read-only during
-// enumeration — grid MinDist/MaxDist are pure), and recycles it when
-// the subspace's last chunk finishes.
+// their Eq.-style suffix maxima, and how many similarities the prep
+// read: its candidates and its pinned objects. sched.Run pools prep
+// states, hands each from the preparing worker to the chunk workers
+// (read-only during enumeration — grid MinDist/MaxDist are pure), and
+// recycles it when the subspace's last chunk finishes.
 type prepState struct {
 	g          *grid.Grid
 	buckets    [][][]simil.Cand // [dim][cell] candidates, maximum first; sampled and sorted desc where reachable
 	cellLists  [][]scoredCell   // [dim] non-empty cells sorted by score desc
 	rbarSuffix []float64
+	scored     int64
 }
 
 type searcher struct {
-	ctx   context.Context
-	sctx  *simil.Context
-	heap  topk.Sink
-	q     *query.Query
-	ix    *partition.Index
-	work  []*partition.Subspace
-	opt   Options
-	st    *stats.Stats
-	local localCounters
+	ctx  context.Context
+	sctx *simil.Context
+	heap topk.Sink
+	q    *query.Query
+	ix   *partition.Index
+	work []*partition.Subspace
+	opt  Options
+	st   *stats.Stats
+	// delta is the current unit's work: the prep and the enumeration
+	// hot loops count into its plain fields.
+	delta stats.Snapshot
 	steps int
 	// chunk is the current Chunk's "lora.enum" span, the parent of each
 	// point enumeration's "lora.points" tally.
@@ -307,40 +253,49 @@ func (s *searcher) checkCancel() error {
 
 // Prep buckets and samples subspace sub into p — exactly once per
 // subspace — and returns its root cell count, 0 when the subspace is
-// skipped. The "lora.sample" unit span carries the subspace-level work
-// delta (candidate volume, sampling discards, skip marks, memo hits);
-// enumeration counters land on Chunk's spans.
+// skipped. Its delta (candidate volume, sampling discards, skip marks,
+// memo hits) goes to the "lora.sample" unit span and to the counters
+// alike; enumeration counters come from Chunk.
 func (s *searcher) Prep(p *prepState, w, sub int) (int, error) {
 	sp := s.opt.Span.Unit("lora.sample", w, sub)
+	s.delta = stats.Snapshot{}
 	skip, err := s.prepareInto(p, s.work[sub])
 	if err != nil {
 		sp.End()
 		return 0, err
 	}
 	if skip {
-		s.st.AddSubspacesSkipped(1)
-		sp.EndWork(s.localSnapshot(false))
-		s.flushStats()
+		s.delta.SubspacesSkipped = 1
+	} else {
+		s.delta.Subspaces = 1
+	}
+	s.delta.SubspaceCandidatesMax = s.delta.Candidates
+	// Every similarity a prep reads comes from the memo when there is one.
+	if s.sctx.MemoShared() {
+		s.delta.AttrSimMemoHits = p.scored
+	}
+	sp.EndWork(s.delta)
+	s.st.Add(s.delta)
+	if skip {
 		return 0, nil
 	}
-	s.st.AddSubspaces(1)
-	sp.EndWork(s.localSnapshot(true))
-	s.flushStats()
 	return len(p.cellLists[0]), nil
 }
 
 // Chunk enumerates the root cell range [lo, hi) of subspace sub,
-// prepared in p. The "lora.enum" unit span carries the enumeration
-// work delta, attributed to the owning subspace, so Tree.Skew keeps
-// measuring per-lane busy time and the straggler attribution keeps
-// naming the heaviest subspace. Its phase time is the cell DFS's own:
-// the point enumerations nested in it are tallied as "lora.points".
+// prepared in p. The enumeration counts into s.delta, which goes to the
+// "lora.enum" unit span, attributed to the owning subspace, and to the
+// counters alike, so Tree.Skew keeps measuring per-lane busy time and
+// the straggler attribution keeps naming the heaviest subspace. Its
+// phase time is the cell DFS's own: the point enumerations nested in it
+// are tallied as "lora.points".
 func (s *searcher) Chunk(p *prepState, w, sub, lo, hi int) error {
+	s.delta = stats.Snapshot{}
 	s.chunk = s.opt.Span.Unit("lora.enum", w, sub)
 	s.attach(p)
 	err := s.cellDFS(0, 0, lo, hi)
-	s.chunk.EndWork(s.localDelta())
-	s.flushStats()
+	s.chunk.EndWork(s.delta)
+	s.st.Add(s.delta)
 	return err
 }
 
@@ -349,7 +304,7 @@ func (s *searcher) Chunk(p *prepState, w, sub, lo, hi int) error {
 // and suffix maxima into p. It reports skip=true when a pinned object
 // falls outside the subspace or some dimension has no candidate cell;
 // dimensions past that one are not scored. Candidate and sampling
-// counters accumulate into s.local; the caller attaches and flushes them.
+// counters accumulate into s.delta and p.scored; Prep reports them.
 func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool, err error) {
 	c := s.sctx
 	m := c.M
@@ -358,6 +313,7 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 		return false, err
 	}
 	p.g = g
+	p.scored = 0
 	nc := g.NumCells()
 	if p.buckets == nil {
 		p.buckets = make([][][]simil.Cand, m)
@@ -386,7 +342,7 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 				return true, nil // subspace cannot host the pinned object
 			}
 			cell := g.Cell(loc)
-			s.local.scored++
+			p.scored++
 			p.buckets[d][cell] = append(p.buckets[d][cell], simil.Cand{Pos: fixed, Sim: c.AttrSim(d, fixed)})
 			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: p.buckets[d][cell][0].Sim})
 			continue
@@ -397,8 +353,8 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 		// AttrSimBatch sweep, then bucket by cell, each bucket's maximum
 		// first. Same candidate order, sims and counters as the scalar
 		// loop.
-		s.local.candidates += int64(len(pos))
-		s.local.scored += int64(len(pos))
+		s.delta.Candidates += int64(len(pos))
+		p.scored += int64(len(pos))
 		if cap(s.simBuf) < len(pos) {
 			s.simBuf = make([]float64, len(pos))
 		}
@@ -420,7 +376,7 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 				continue
 			}
 			if xi > 0 && len(b) > xi {
-				s.local.sampledOut += int64(len(b) - xi)
+				s.delta.SampledOut += int64(len(b) - xi)
 			}
 			if s.opt.RandomSample {
 				b = s.sampleRandom(b, d, cell)
@@ -543,7 +499,7 @@ func (s *searcher) cellDFS(dim int, scoreSum float64, lo, hi int) error {
 		// the level and count each of them as pruned.
 		vbar := (sum + s.rbarSuffix[dim+1]) / float64(c.M)
 		if !s.heap.WouldAccept(c.Combine(1, vbar)) {
-			s.local.prunedCells += int64(len(level) - i)
+			s.delta.PrunedCellPrefixes += int64(len(level) - i)
 			break
 		}
 		s.cellTuple[dim] = sc.cell
@@ -620,7 +576,7 @@ func (s *searcher) pointEnum() error {
 	defer s.chunk.Tally("lora.points").End()
 	c := s.sctx
 	m := c.M
-	s.local.cellTuples++
+	s.delta.CellTuples++
 	if s.listsBuf == nil {
 		//lint:ignore hotpathalloc grow-once per-searcher buffer; reused across every cell tuple
 		s.listsBuf = make([][]simil.Cand, m)
@@ -640,7 +596,7 @@ func (s *searcher) pointEnum() error {
 	}
 	// Fast path: a cell tuple with exactly one combination (common in
 	// sparse regions) needs no rank-graph machinery.
-	single := m <= len(singleRanks)
+	single := true
 	for d := 0; single && d < m; d++ {
 		if len(lists[d]) != 1 {
 			single = false
@@ -673,7 +629,7 @@ func (s *searcher) pointEnum() error {
 		if !ok {
 			return nil
 		}
-		s.local.pops++
+		s.delta.RankPops++
 		attrMean := total / float64(m)
 		// Future pops have lower attribute totals; once even a perfect
 		// spatial similarity cannot beat the k-th result, stop.
@@ -711,20 +667,20 @@ func (s *searcher) assembleTuple(lists [][]simil.Cand, ranks []int32) bool {
 			}
 		}
 	}
-	s.local.tuples++
+	s.delta.Tuples++
 	s.dist = c.DistVectorOfPositions(s.tuple, s.dist)
 	if !c.NormOK(geo.Norm(s.dist)) {
 		return false
 	}
 	if s.heap.Offer(s.tuple, c.TupleSim(s.dist, s.asims)) {
-		s.local.offered++
+		s.delta.Offered++
 	}
 	return true
 }
 
 // singleRanks is the all-zero rank vector reused by the singleton fast
-// path (the maximum tuple size is small; 16 is far beyond any practical m).
-var singleRanks [16]int32
+// path, long enough for any example Example.Validate accepts.
+var singleRanks [query.MaxM]int32
 
 // splitMix is a tiny deterministic PRNG for the RandomSample ablation.
 type splitMix uint64

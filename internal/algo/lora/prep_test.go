@@ -34,6 +34,7 @@ func (s *searcher) prepareFullSort(p *prepState, ss *partition.Subspace) (skip b
 		return false, err
 	}
 	p.g = g
+	p.scored = 0
 	nc := g.NumCells()
 	if p.buckets == nil {
 		p.buckets = make([][][]simil.Cand, m)
@@ -60,15 +61,15 @@ func (s *searcher) prepareFullSort(p *prepState, ss *partition.Subspace) (skip b
 				return true, nil
 			}
 			cell := g.Cell(loc)
-			s.local.scored++
+			p.scored++
 			p.buckets[d][cell] = append(p.buckets[d][cell], simil.Cand{Pos: fixed, Sim: c.AttrSim(d, fixed)})
 			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: p.buckets[d][cell][0].Sim})
 			continue
 		}
 		cat := c.Ex.Categories[d]
 		pos := testutil.InRegion(c.DS, s.ix.Gather(nil, cat, c.DS.Bounds()), cat, region)
-		s.local.candidates += int64(len(pos))
-		s.local.scored += int64(len(pos))
+		s.delta.Candidates += int64(len(pos))
+		p.scored += int64(len(pos))
 		sims := make([]float64, len(pos))
 		c.AttrSimBatch(d, pos, sims)
 		for i, ps := range pos {
@@ -90,7 +91,7 @@ func (s *searcher) prepareFullSort(p *prepState, ss *partition.Subspace) (skip b
 				}
 			}
 			p.buckets[d][cell] = b
-			s.local.sampledOut += int64(before - len(b))
+			s.delta.SampledOut += int64(before - len(b))
 			p.cellLists[d] = append(p.cellLists[d], scoredCell{cell: cell, score: b[0].Sim})
 		}
 		if len(p.cellLists[d]) == 0 {
@@ -117,23 +118,22 @@ type fullSortWorker struct {
 }
 
 func (w fullSortWorker) Prep(p *prepState, _, sub int) (int, error) {
+	w.delta = stats.Snapshot{}
 	skip, err := w.prepareFullSort(p, w.work[sub])
 	if err != nil {
 		return 0, err
 	}
-	d := stats.Snapshot{Candidates: w.local.candidates, SampledOut: w.local.sampledOut, SubspaceCandidatesMax: w.local.candidates}
+	d := stats.Snapshot{Candidates: w.delta.Candidates, SampledOut: w.delta.SampledOut, SubspaceCandidatesMax: w.delta.Candidates}
 	if w.sctx.MemoShared() {
-		d.AttrSimMemoHits = w.local.scored
+		d.AttrSimMemoHits = p.scored
 	}
 	if skip {
 		d.SubspacesSkipped = 1
-		w.st.AddSubspacesSkipped(1)
 	} else {
 		d.Subspaces = 1
-		w.st.AddSubspaces(1)
 	}
 	w.subs[sub] = d
-	w.flushStats()
+	w.st.Add(d)
 	if skip {
 		return 0, nil
 	}
@@ -161,7 +161,7 @@ func searchFullSort(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Optio
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Stats.AddSubspacesBounded(int64(cut))
+	opt.Stats.Add(stats.Snapshot{SubspacesBounded: int64(cut)})
 	res, snap := sink.Results(), opt.Stats.Snapshot()
 	ref.Prepared = len(work) - cut
 	p := new(prepState)
@@ -180,7 +180,7 @@ type prepProbe struct{ unreachableCut, reachableCut, lateSkips int }
 
 func (pr *prepProbe) inspect(s *searcher, p *prepState, ss *partition.Subspace, skip bool, scoredBefore int64) {
 	if skip {
-		if s.local.candidates > scoredBefore {
+		if s.delta.Candidates > scoredBefore {
 			pr.lateSkips++
 		}
 		return
@@ -334,7 +334,7 @@ func (pr *prepProbe) run(t *testing.T, c testutil.ShapedQuery) {
 	}
 	s, p := newSearcher(context.Background(), sctx, topk.New(c.Q.Params.K), c.Q, ix, nil, Options{}), new(prepState)
 	for i := range part.Subspaces {
-		scored := s.local.candidates
+		scored := s.delta.Candidates
 		skip, err := s.prepareInto(p, &part.Subspaces[i])
 		if err != nil {
 			t.Fatal(err)

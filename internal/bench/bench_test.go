@@ -18,20 +18,21 @@ var update = flag.Bool("update", false, "rewrite the golden schema file")
 // golden test pins the JSON schema (field names, nesting, ordering), so
 // adding/renaming/removing a field must show up as a diff here.
 func goldenFile() *File {
-	var st stats.Stats
-	st.AddSubspaces(4)
-	st.AddSubspacesSkipped(1)
-	st.AddCandidates(1200)
-	st.AddPrunedPrefixes(300)
-	st.AddTuples(80)
-	st.AddOffered(12)
-	st.AddCellTuples(40)
-	st.AddPrunedCellPrefixes(9)
-	st.AddRankPops(25)
-	st.AddSampledOut(110)
-	st.AddAttrSimMemoHits(640)
-	st.AddAttrSimMemoMisses(60)
-	st.RaiseSubspaceCandidates(700)
+	work := stats.Snapshot{
+		Subspaces:             4,
+		SubspacesSkipped:      1,
+		Candidates:            1200,
+		PrunedPrefixes:        300,
+		Tuples:                80,
+		Offered:               12,
+		CellTuples:            40,
+		PrunedCellPrefixes:    9,
+		RankPops:              25,
+		SampledOut:            110,
+		AttrSimMemoHits:       640,
+		AttrSimMemoMisses:     60,
+		SubspaceCandidatesMax: 700,
+	}
 	return &File{
 		SchemaVersion: SchemaVersion,
 		Env: Env{
@@ -58,7 +59,7 @@ func goldenFile() *File {
 				AvgSim:     0.912345,
 				Errors:     &ErrorStats{MAE: 0.0012, STD: 0.0034, MAX: 0.02},
 				Latency:    LatencyOf([]float64{1, 2, 3, 4, 100}),
-				Work:       WorkMap(st.Snapshot()),
+				Work:       WorkMap(work),
 				Mem:        Mem{AllocBytes: 123456, Mallocs: 789, HeapDeltaBytes: -42},
 			},
 			{

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"spatialseq/internal/obs/span"
 	"spatialseq/internal/simil"
+	"spatialseq/internal/stats"
 )
 
 func TestCollectStats(t *testing.T) {
@@ -92,5 +94,49 @@ func TestStatsParallelConsistency(t *testing.T) {
 		} else if !reflect.DeepEqual(res.Tuples, want) {
 			t.Errorf("workers %d: answers %v, one worker %v", workers, res.Tuples, want)
 		}
+	}
+}
+
+// TestSpanWorkSumsToStats: each unit of search work reports one delta,
+// to its span and to the counters, so the Snapshot.Add sum of every
+// span's work equals Result.Stats, all but SubspacesBounded (no unit ran
+// those subspaces). It holds for every algorithm, at one worker and at
+// four, on queries with one subspace and with many, where the plan
+// fills the memo.
+func TestSpanWorkSumsToStats(t *testing.T) {
+	var filled bool
+	for _, n := range []int{150, 600} {
+		eng, q := setup(t, n)
+		for _, algo := range []Algorithm{DFSPrune, HSP, LORA} {
+			for _, workers := range []int{1, 4} {
+				qq := *q
+				tr := span.NewTracerLimits(1<<16, 0)
+				opt := Options{CollectStats: true, Spans: tr}
+				opt.HSP.Parallelism, opt.LORA.Parallelism = workers, workers
+				res, err := eng.Search(context.Background(), &qq, algo, opt)
+				if err != nil {
+					t.Fatalf("n %d %v workers %d: %v", n, algo, workers, err)
+				}
+				if d := tr.Dropped(); d != 0 {
+					t.Fatalf("n %d %v workers %d: the tracer dropped %d spans", n, algo, workers, d)
+				}
+				var sum stats.Snapshot
+				for _, nd := range tr.Snapshot().Nodes {
+					if nd.Work != nil {
+						sum = sum.Add(*nd.Work)
+					}
+				}
+				want := res.Stats
+				want.SubspacesBounded = 0
+				if sum != want {
+					t.Errorf("n %d %v workers %d: span work sums to %+v, Result.Stats less subspaces_bounded is %+v",
+						n, algo, workers, sum, want)
+				}
+				filled = filled || want.AttrSimMemoMisses > 0
+			}
+		}
+	}
+	if !filled {
+		t.Error("no search filled the memo: the memo span went untested")
 	}
 }

@@ -218,8 +218,8 @@ func (e *Example) FixedDim(d int) int32 {
 // Validate checks the example against ds.
 func (e *Example) Validate(ds *dataset.Dataset) error {
 	m := e.M()
-	if m < 2 {
-		return fmt.Errorf("query: example must have at least 2 objects, got %d", m)
+	if m < 2 || m > MaxM {
+		return fmt.Errorf("query: example must have between 2 and %d objects, got %d", MaxM, m)
 	}
 	if len(e.Locations) != m || len(e.Attrs) != m {
 		return fmt.Errorf("query: example dimensions disagree: %d categories, %d locations, %d attrs",
@@ -310,16 +310,19 @@ func DefaultParams() Params {
 	return Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 5, Xi: 10}
 }
 
-// Parameter ceilings enforced by Normalize. They exist so untrusted inputs
-// (the HTTP API, fuzzers) cannot request absurd allocations: LORA
-// materialises GridD^2 cell buckets per subspace and the top-k heap keeps K
-// tuples. Both limits sit far above anything the paper sweeps (K <= 50,
-// GridD in [1,10]).
+// Input ceilings, enforced by Normalize and Example.Validate. They exist so
+// untrusted inputs (the HTTP API, fuzzers) cannot request absurd
+// allocations: LORA materialises GridD^2 cell buckets per subspace, the
+// top-k heap keeps K tuples, and a query's distance vectors hold
+// m(m-1)/2 pairs. Every limit sits far above anything the paper sweeps
+// (K <= 50, GridD in [1,10], m <= 5).
 const (
 	// MaxK is the largest accepted result count.
 	MaxK = 10000
 	// MaxGridD is the largest accepted cells-per-side grid resolution.
 	MaxGridD = 1024
+	// MaxM is the largest accepted example size: 120 distance pairs.
+	MaxM = 16
 )
 
 // Normalize fills zero fields with defaults and validates ranges.

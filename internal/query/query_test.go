@@ -158,6 +158,26 @@ func TestExampleValidate(t *testing.T) {
 	}
 }
 
+// TestExampleValidateBoundsM: an example of MaxM objects validates and
+// one of MaxM+1 does not, before anything sized by m is allocated.
+func TestExampleValidateBoundsM(t *testing.T) {
+	ds := smallDS(t)
+	for _, c := range []struct {
+		m  int
+		ok bool
+	}{{MaxM, true}, {MaxM + 1, false}} {
+		var ex Example
+		for i := 0; i < c.m; i++ {
+			ex.Categories = append(ex.Categories, dataset.CategoryID(i%2))
+			ex.Locations = append(ex.Locations, geo.Point{X: float64(i), Y: float64(i * i)})
+			ex.Attrs = append(ex.Attrs, []float64{0.5, 0.5})
+		}
+		if err := ex.Validate(ds); (err == nil) != c.ok {
+			t.Errorf("m = %d: Validate = %v, want ok = %v", c.m, err, c.ok)
+		}
+	}
+}
+
 func TestQueryValidate(t *testing.T) {
 	ds := smallDS(t)
 

@@ -35,9 +35,9 @@ func fuzzServer() *httptest.Server {
 // FuzzServerDecode throws arbitrary request bodies at the two POST
 // endpoints. The contract under fuzzing: the server never panics (a panic
 // kills the shared httptest server and every later request fails), always
-// answers 200, 400 or 504, and always produces a JSON body — malformed
-// input must come back as a structured error, never as a raw stack trace
-// or an empty reply.
+// answers 200, 400 or 504, or 413 for a body longer than maxBodyBytes,
+// and always produces a JSON body — malformed input must come back as a
+// structured error, never as a raw stack trace or an empty reply.
 func FuzzServerDecode(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
@@ -62,8 +62,10 @@ func FuzzServerDecode(f *testing.F) {
 			if rerr != nil {
 				t.Fatalf("%s: reading response: %v", path, rerr)
 			}
-			switch resp.StatusCode {
-			case http.StatusOK, http.StatusBadRequest, http.StatusGatewayTimeout:
+			switch {
+			case resp.StatusCode == http.StatusOK, resp.StatusCode == http.StatusBadRequest,
+				resp.StatusCode == http.StatusGatewayTimeout:
+			case resp.StatusCode == http.StatusRequestEntityTooLarge && len(body) > maxBodyBytes:
 			default:
 				t.Fatalf("%s: status %d for body %q", path, resp.StatusCode, body)
 			}

@@ -380,25 +380,47 @@ func (s *Server) handleCategories(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
+// maxBodyBytes bounds the request bodies decodeStrict reads. The
+// largest valid request is a /search of query.MaxM example objects. A
+// number in its shortest round-trip form takes at most 25 bytes with
+// its separator (-2.2250738585072014e-308,), so an object with its
+// coordinates, a fixed_id and D attributes takes 25(D+3) bytes, plus
+// its category name and under 60 bytes of keys and punctuation; the
+// request's other fields take under 200. With D = 2,000 and 1,000-byte
+// names that is 200 + 16 x (25 x 2,003 + 1,000 + 60) = 818,360 bytes,
+// under the 1,048,576 of 1 MiB. The synthetic datasets have 12 or 6
+// attributes.
+const maxBodyBytes = 1 << 20
+
 // decodeStrict decodes a request body into dst, rejecting unknown fields
 // and trailing data after the first JSON value (json.Decoder.Decode alone
-// would silently ignore the latter).
-func decodeStrict(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
+// would silently ignore the latter), and reads no more than
+// maxBodyBytes of it. A rejected body is answered here, with 413 when it
+// is too long and 400 otherwise, and decodeStrict returns false.
+func (s *Server) decodeStrict(w http.ResponseWriter, r *http.Request, dst any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return err
+	err := dec.Decode(dst)
+	if err == nil {
+		if err = dec.Decode(&struct{}{}); err == io.EOF {
+			return true
+		}
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data after JSON body")
+		}
 	}
-	if dec.Decode(&struct{}{}) != io.EOF {
-		return errors.New("trailing data after JSON body")
+	if errors.As(err, new(*http.MaxBytesError)) {
+		s.writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)})
+		return false
 	}
-	return nil
+	s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+	return false
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if err := decodeStrict(r, &req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+	if !s.decodeStrict(w, r, &req) {
 		return
 	}
 	switch req.Format {
@@ -623,8 +645,7 @@ type SnapResult struct {
 
 func (s *Server) handleSnap(w http.ResponseWriter, r *http.Request) {
 	var req SnapRequest
-	if err := decodeStrict(r, &req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+	if !s.decodeStrict(w, r, &req) {
 		return
 	}
 	ds := s.eng.Dataset()
@@ -676,8 +697,10 @@ func (s *Server) lookupID(id int64) (int32, bool) {
 
 func (s *Server) buildQuery(req *SearchRequest) (*query.Query, error) {
 	ds := s.eng.Dataset()
-	if len(req.Example) < 2 {
-		return nil, fmt.Errorf("example needs at least 2 objects, got %d", len(req.Example))
+	// Bound the example before building it: each object costs a
+	// category lookup and perhaps a centroid.
+	if n := len(req.Example); n < 2 || n > query.MaxM {
+		return nil, fmt.Errorf("example needs between 2 and %d objects, got %d", query.MaxM, n)
 	}
 	q := &query.Query{
 		Params: query.Params{K: req.K, Alpha: req.Alpha, Beta: req.Beta, GridD: req.GridD, Xi: req.Xi},

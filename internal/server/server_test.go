@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"spatialseq/internal/core"
@@ -167,6 +168,54 @@ func TestSearchRejectsBadRequests(t *testing.T) {
 		resp, body := postSearch(t, ts, c.req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, body = %s", c.name, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestSearchBoundsExampleSize: an example of query.MaxM+1 objects is a
+// 400 before it is built or searched.
+func TestSearchBoundsExampleSize(t *testing.T) {
+	ts, ds := newTestServer(t)
+	ex := make([]ExampleObject, query.MaxM+1)
+	for i := range ex {
+		ex[i] = ExampleObject{X: float64(i), Y: float64(i), Category: ds.CategoryName(ds.Object(i).Category)}
+	}
+	resp, body := postSearch(t, ts, SearchRequest{Example: ex})
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(strconv.Itoa(query.MaxM))) {
+		t.Errorf("%d example objects: status %d, body %s; want 400 naming the bound %d", len(ex), resp.StatusCode, body, query.MaxM)
+	}
+}
+
+// TestSearchBoundsBody: a /search body is decoded up to maxBodyBytes,
+// however it is padded, and one byte more is a 413 with a JSON error.
+func TestSearchBoundsBody(t *testing.T) {
+	ts, ds := newTestServer(t)
+	cat := ds.CategoryName(ds.Object(0).Category)
+	req, err := json.Marshal(SearchRequest{K: 2, Example: []ExampleObject{{X: 1, Y: 1, Category: cat}, {X: 5, Y: 5, Category: cat}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		size   int
+		status int
+	}{
+		{maxBodyBytes - 1, http.StatusOK},
+		{maxBodyBytes, http.StatusOK},
+		{maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+	} {
+		body := append(bytes.Repeat([]byte(" "), c.size-len(req)), req...)
+		resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		_, err = out.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.status || !json.Valid(out.Bytes()) {
+			t.Errorf("%d-byte body: status %d, body %.200s; want %d with JSON", c.size, resp.StatusCode, out.Bytes(), c.status)
 		}
 	}
 }

@@ -5,8 +5,8 @@
 // over the dataset's contiguous SoA rows, with the memo consulted per
 // candidate but the uncached cosines computed by one blocked
 // vectormath.DotsAt sweep. Every kernel is bit-for-bit identical to the
-// scalar path it replaces (same accumulation order, same memo fill and
-// counter sequence); the oracle tests in batch_test.go pin that down.
+// scalar path it replaces (same accumulation order); the oracle tests in
+// batch_test.go pin that down.
 package simil
 
 import (
@@ -22,17 +22,14 @@ import (
 const batchBlock = 256
 
 // AttrSimBatch writes AttrSim(dim, positions[i]) into dst[i] for every
-// position. dst must have len(positions). Results, memo fills and memo
-// counters are bit-for-bit identical to calling AttrSim in index order:
+// position. dst must have len(positions). Results are bit-for-bit
+// identical to calling AttrSim in index order:
 //
 //   - no memo: blocked DotsAt over the flat attribute matrix plus the
 //     prenormed cosine — the pure batch fast path;
-//   - lazy memo (EnableMemo): falls back to scalar AttrSim per position
-//     so the single-goroutine fill order and hit/miss counts are
-//     exactly the scalar sequence;
-//   - shared memo (PrepareMemoShared): read-only table lookups, with
-//     the direct kernel covering entries the eager pass left unfilled
-//     (dimensions pinned to a fixed object memoise only that object).
+//   - filled memo (PrepareMemoShared): read-only table lookups, with
+//     the direct kernel covering entries the fill left out (dimensions
+//     pinned to a fixed object memoise only that object).
 //
 //seq:hotpath
 func (c *Context) AttrSimBatch(dim int, positions []int32, dst []float64) {
@@ -42,12 +39,6 @@ func (c *Context) AttrSimBatch(dim int, positions []int32, dst []float64) {
 	}
 	if c.memo == nil {
 		c.attrSimBatchDirect(dim, positions, dst)
-		return
-	}
-	if !c.memoShared {
-		for i, pos := range positions {
-			dst[i] = c.AttrSim(dim, pos)
-		}
 		return
 	}
 	cat := c.Ex.Categories[dim]
@@ -94,11 +85,10 @@ type BatchScratch struct {
 	sims []float64
 }
 
-// CandidatesBatchInto is the batched form of CandidatesInto: it filters
-// positions to dim's category, scores the survivors with AttrSimBatch,
-// appends them to dst and sorts. Output is element-for-element
-// identical to CandidatesInto (same filter order, same sims, same
-// sort), under every memo mode.
+// CandidatesBatchInto filters positions to dim's category, scores the
+// survivors with AttrSimBatch, appends them to dst and sorts the whole
+// of dst (SortCandidates: similarity descending, position ascending).
+// Pass a length-zero slice — dst[:0] to reuse a backing array.
 func (c *Context) CandidatesBatchInto(dst []Cand, dim int, positions []int32, bs *BatchScratch) []Cand {
 	cat := c.Ex.Categories[dim]
 	bs.pos = bs.pos[:0]
@@ -115,9 +105,8 @@ func (c *Context) CandidatesBatchInto(dst []Cand, dim int, positions []int32, bs
 // RegionCandidatesInto appends to dst, unsorted, every object of dim's
 // category that region contains (partition.Index.Gather), scored with
 // AttrSimBatch. A candidate with the largest similarity leads the
-// appended run. Sims, memo fills and memo counters equal
-// CandidatesBatchInto's over the region's points; only the order
-// differs.
+// appended run. Sims equal CandidatesBatchInto's over the region's
+// points; only the order differs.
 func (c *Context) RegionCandidatesInto(dst []Cand, dim int, ix *partition.Index, region geo.Rect, bs *BatchScratch) []Cand {
 	bs.pos = ix.Gather(bs.pos[:0], c.Ex.Categories[dim], region)
 	base := len(dst)

@@ -7,13 +7,12 @@ import (
 
 // memoModes applies each memo configuration to a freshly built context:
 // the batched kernels must be bit-for-bit against the scalar path in
-// all three.
+// both.
 var memoModes = []struct {
 	name  string
 	setup func(c *Context)
 }{
 	{"direct", func(c *Context) {}},
-	{"lazy", func(c *Context) { c.EnableMemo() }},
 	{"shared", func(c *Context) { c.PrepareMemoShared() }},
 }
 
@@ -47,36 +46,39 @@ func TestAttrSimBatchMatchesScalar(t *testing.T) {
 					}
 				}
 			}
-			// In lazy mode the batch must also replay the scalar hit/miss
-			// sequence exactly; the other modes never touch the counters.
-			bh, bm := cb.MemoCounters()
-			sh, sm := cs.MemoCounters()
-			if bh != sh || bm != sm {
-				t.Errorf("memo counters diverge: batch %d/%d, scalar %d/%d", bh, bm, sh, sm)
-			}
 		})
 	}
+}
+
+// candidatesInto is the scalar reference for CandidatesBatchInto: each
+// position of dim's category scored with AttrSim, in order, appended
+// to dst, and the whole sorted.
+func candidatesInto(c *Context, dst []Cand, dim int, positions []int32) []Cand {
+	for _, pos := range positions {
+		if c.DS.Category(int(pos)) == c.Ex.Categories[dim] {
+			dst = append(dst, Cand{Pos: pos, Sim: c.AttrSim(dim, pos)})
+		}
+	}
+	SortCandidates(dst)
+	return dst
 }
 
 func TestCandidatesBatchIntoMatchesCandidatesInto(t *testing.T) {
 	for _, mode := range memoModes {
 		t.Run(mode.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(64))
-			cb, _ := newCtx(t, rng, 3, 1.5)
-			rng = rand.New(rand.NewSource(64))
-			cs, _ := newCtx(t, rng, 3, 1.5)
-			mode.setup(cb)
-			mode.setup(cs)
-			all := make([]int32, cb.DS.Len())
+			c, _ := newCtx(t, rng, 3, 1.5)
+			mode.setup(c)
+			all := make([]int32, c.DS.Len())
 			for i := range all {
 				all[i] = int32(i)
 			}
 			var bs BatchScratch
-			dst := make([]Cand, 0, cb.DS.Len())
-			ref := make([]Cand, 0, cb.DS.Len())
-			for d := 0; d < cb.M; d++ {
-				got := cb.CandidatesBatchInto(dst[:0], d, all, &bs)
-				want := cs.CandidatesInto(ref[:0], d, all)
+			dst := make([]Cand, 0, c.DS.Len())
+			ref := make([]Cand, 0, c.DS.Len())
+			for d := 0; d < c.M; d++ {
+				got := c.CandidatesBatchInto(dst[:0], d, all, &bs)
+				want := candidatesInto(c, ref[:0], d, all)
 				if len(got) != len(want) {
 					t.Fatalf("dim %d: batch len %d, scalar len %d", d, len(got), len(want))
 				}
@@ -205,6 +207,8 @@ func BenchmarkAttrSimBatch(b *testing.B) {
 	}
 	benchSimSink = dst[0]
 }
+
+var benchCandSink []Cand
 
 func BenchmarkCandidatesBatchInto(b *testing.B) {
 	c := benchContext(b)

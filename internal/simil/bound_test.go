@@ -139,7 +139,7 @@ func trueMaxima(c *Context, ss *partition.Subspace) []float64 {
 			continue
 		}
 		cat := c.Ex.Categories[d]
-		if list := c.Candidates(d, testutil.InRegion(c.DS, c.DS.CategoryObjects(cat), cat, region)); len(list) > 0 {
+		if list := candidatesInto(c, nil, d, testutil.InRegion(c.DS, c.DS.CategoryObjects(cat), cat, region)); len(list) > 0 {
 			out[d] = list[0].Sim
 		}
 	}

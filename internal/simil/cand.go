@@ -11,40 +11,6 @@ type Cand struct {
 	Sim float64
 }
 
-// Candidates filters positions down to the objects matching dimension dim's
-// category and returns them sorted by attribute similarity descending
-// (ties broken by position ascending, for deterministic enumeration). The
-// result is sized exactly (one counting pass over the flat category slice),
-// so a single allocation serves any selectivity. Hot loops that run once
-// per subspace should prefer CandidatesInto with a reused buffer.
-func (c *Context) Candidates(dim int, positions []int32) []Cand {
-	cat := c.Ex.Categories[dim]
-	n := 0
-	for _, pos := range positions {
-		if c.DS.Category(int(pos)) == cat {
-			n++
-		}
-	}
-	return c.CandidatesInto(make([]Cand, 0, n), dim, positions)
-}
-
-// CandidatesInto is Candidates with a caller-supplied destination: matches
-// are appended to dst (pass a length-zero slice — dst[:0] to reuse a
-// backing array) and the result is sorted as a whole. Per-subspace
-// searchers thread per-worker buffers through it so steady-state candidate
-// enumeration allocates nothing.
-func (c *Context) CandidatesInto(dst []Cand, dim int, positions []int32) []Cand {
-	cat := c.Ex.Categories[dim]
-	for _, pos := range positions {
-		if c.DS.Category(int(pos)) != cat {
-			continue
-		}
-		dst = append(dst, Cand{Pos: pos, Sim: c.AttrSim(dim, pos)})
-	}
-	SortCandidates(dst)
-	return dst
-}
-
 // SortCandidates orders cands by similarity descending, position ascending.
 func SortCandidates(cands []Cand) {
 	slices.SortFunc(cands, func(a, b Cand) int {
@@ -61,13 +27,4 @@ func SortCandidates(cands []Cand) {
 			return 0
 		}
 	})
-}
-
-// MaxSim returns the best similarity in a sorted candidate list, or 0 for
-// an empty list.
-func MaxSim(cands []Cand) float64 {
-	if len(cands) == 0 {
-		return 0
-	}
-	return cands[0].Sim
 }

@@ -32,44 +32,6 @@ func TestAttrSimMatchesCosOracle(t *testing.T) {
 	}
 }
 
-func TestMemoLazyExactAndCounted(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	c, _ := newCtx(t, rng, 3, 1.5)
-	c.EnableMemo()
-	var universe int64
-	for d := 0; d < c.M; d++ {
-		universe += int64(len(c.DS.CategoryObjects(c.Ex.Categories[d])))
-	}
-	for pass := 0; pass < 2; pass++ {
-		for d := 0; d < c.M; d++ {
-			for _, pos := range c.DS.CategoryObjects(c.Ex.Categories[d]) {
-				if got, want := c.AttrSim(d, pos), attrSimOracle(c, d, pos); got != want {
-					t.Fatalf("pass %d dim %d pos %d: memoized AttrSim = %v, Cos = %v", pass, d, pos, got, want)
-				}
-			}
-		}
-	}
-	hits, misses := c.MemoCounters()
-	if misses != universe {
-		t.Errorf("misses = %d, want %d (one per distinct dim/candidate)", misses, universe)
-	}
-	if hits != universe {
-		t.Errorf("hits = %d, want %d (the whole second pass)", hits, universe)
-	}
-	// positions outside the dimension's category bypass the memo but still
-	// answer exactly
-	for d := 0; d < c.M; d++ {
-		for pos := int32(0); pos < int32(c.DS.Len()); pos++ {
-			if c.DS.Category(int(pos)) == c.Ex.Categories[d] {
-				continue
-			}
-			if got, want := c.AttrSim(d, pos), attrSimOracle(c, d, pos); got != want {
-				t.Fatalf("off-category dim %d pos %d: %v != %v", d, pos, got, want)
-			}
-		}
-	}
-}
-
 func TestPrepareMemoShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	c, _ := newCtx(t, rng, 3, 1.5)
@@ -92,10 +54,6 @@ func TestPrepareMemoShared(t *testing.T) {
 				t.Fatalf("dim %d pos %d: shared-memo AttrSim = %v, Cos = %v", d, pos, got, want)
 			}
 		}
-	}
-	// shared mode leaves the Context-side lazy counters untouched
-	if h, mi := c.MemoCounters(); h != 0 || mi != 0 {
-		t.Errorf("shared-mode MemoCounters = %d/%d, want 0/0", h, mi)
 	}
 }
 
@@ -172,7 +130,7 @@ func (e errText) Error() string { return string(e) }
 
 // A dataset object with an all-zero attribute vector exercises the
 // zero-norm convention (cosine 0 against any non-zero example) through the
-// memoized path.
+// filled memo.
 func TestMemoZeroNormConvention(t *testing.T) {
 	b := &dataset.Builder{}
 	cat := b.Category("only")
@@ -199,7 +157,7 @@ func TestMemoZeroNormConvention(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewContext(ds, q)
-	c.EnableMemo()
+	c.PrepareMemoShared()
 	for pass := 0; pass < 2; pass++ {
 		for d := 0; d < c.M; d++ {
 			if got, want := c.AttrSim(d, 2), attrSimOracle(c, d, 2); got != want {
@@ -209,47 +167,6 @@ func TestMemoZeroNormConvention(t *testing.T) {
 				t.Fatalf("zero-attr cosine against non-zero example = %v, want 0", got)
 			}
 		}
-	}
-}
-
-func TestCandidatesIntoMatchesCandidates(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	c, _ := newCtx(t, rng, 3, 1.5)
-	all := make([]int32, c.DS.Len())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	dst := make([]Cand, 0, c.DS.Len())
-	for d := 0; d < c.M; d++ {
-		want := c.Candidates(d, all)
-		got := c.CandidatesInto(dst[:0], d, all)
-		if len(got) != len(want) {
-			t.Fatalf("dim %d: CandidatesInto len %d, Candidates len %d", d, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("dim %d entry %d: %+v != %+v", d, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// With a sufficient reused buffer, steady-state candidate enumeration must
-// not allocate.
-func TestCandidatesIntoZeroAllocsSteadyState(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	c, _ := newCtx(t, rng, 3, 1.5)
-	all := make([]int32, c.DS.Len())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	dst := make([]Cand, 0, c.DS.Len())
-	dst = c.CandidatesInto(dst, 0, all) // warm the buffer
-	allocs := testing.AllocsPerRun(20, func() {
-		dst = c.CandidatesInto(dst[:0], 0, all)
-	})
-	if allocs != 0 {
-		t.Errorf("CandidatesInto allocated %v per run with a reused buffer", allocs)
 	}
 }
 
@@ -290,36 +207,4 @@ func BenchmarkAttrSimMemo(b *testing.B) {
 		s += c.AttrSim(0, cands[i%len(cands)])
 	}
 	benchSimSink = s
-}
-
-var benchCandSink []Cand
-
-func BenchmarkCandidates(b *testing.B) {
-	c := benchContext(b)
-	all := make([]int32, c.DS.Len())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out []Cand
-	for i := 0; i < b.N; i++ {
-		out = c.Candidates(0, all)
-	}
-	benchCandSink = out
-}
-
-func BenchmarkCandidatesInto(b *testing.B) {
-	c := benchContext(b)
-	all := make([]int32, c.DS.Len())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	dst := make([]Cand, 0, c.DS.Len())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = c.CandidatesInto(dst[:0], 0, all)
-	}
-	benchCandSink = dst
 }

@@ -17,7 +17,7 @@ type PlanSpec struct {
 	Phases PlanPhases
 	Span   span.Span
 	// Stats takes the memo misses and the subspaces the bound pass
-	// drops.
+	// drops, each with the span of the phase that counted it.
 	Stats *stats.Stats
 }
 
@@ -55,8 +55,9 @@ func (c *Context) Plan(ix *partition.Index, ps PlanSpec) ([]*partition.Subspace,
 		return work, nil, nil
 	}
 	msp := ps.Span.Child(ps.Phases.Memo)
-	ps.Stats.AddAttrSimMemoMisses(c.PrepareMemoShared())
-	msp.End()
+	fill := stats.Snapshot{AttrSimMemoMisses: c.PrepareMemoShared()}
+	msp.EndWork(fill)
+	ps.Stats.Add(fill)
 	if !ps.Ordered {
 		return work, nil, nil
 	}
@@ -66,8 +67,8 @@ func (c *Context) Plan(ix *partition.Index, ps PlanSpec) ([]*partition.Subspace,
 		bsp.End()
 		return nil, nil, err
 	}
-	skipped := int64(len(work) - len(kept))
-	ps.Stats.AddSubspacesSkipped(skipped)
-	bsp.EndWork(stats.Snapshot{SubspacesSkipped: skipped})
+	dropped := stats.Snapshot{SubspacesSkipped: int64(len(work) - len(kept))}
+	bsp.EndWork(dropped)
+	ps.Stats.Add(dropped)
 	return kept, bounds, nil
 }

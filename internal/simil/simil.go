@@ -52,18 +52,13 @@ type Context struct {
 	// AttrSim needs only a dot product per candidate (CosPrenormed).
 	exNorms []float64
 
-	// Attribute-similarity memo (see EnableMemo / PrepareMemoShared).
+	// Attribute-similarity memo (see PrepareMemoShared), nil or filled.
 	// The table is keyed (dimension, category rank): memo[memoOff[d]+r]
 	// holds SIMa between example dimension d and the r-th object of d's
-	// category, NaN when not yet computed. memoShared marks the table as
-	// eagerly filled and read-only, safe to share across subspace workers;
-	// the hit/miss counters are only maintained in the single-goroutine
-	// lazy mode.
-	memo       []float64
-	memoOff    []int
-	memoShared bool
-	memoHits   int64
-	memoMisses int64
+	// category, NaN for the objects a pinned dimension never reads. It
+	// is read-only once filled, safe to share across subspace workers.
+	memo    []float64
+	memoOff []int
 }
 
 // Dist measures the distance between two locations under the query metric.
@@ -194,28 +189,16 @@ func (c *Context) DistVectorOfPositions(tuple []int32, dst []float64) []float64 
 // AttrSim returns SIMa between example dimension dim and the dataset object
 // at position pos. It equals vectormath.Cos(Ex.Attrs[dim], object attrs)
 // bit-for-bit, but costs only a dot product: both norms are precomputed
-// (dataset build / NewContext). With the memo enabled each (dim, pos)
-// cosine is computed at most once per query.
+// (dataset build / NewContext). Once the memo is filled it is a table
+// read.
 //
 //seq:hotpath
 func (c *Context) AttrSim(dim int, pos int32) float64 {
 	if c.memo != nil && c.DS.Category(int(pos)) == c.Ex.Categories[dim] {
-		idx := c.memoOff[dim] + int(c.DS.CategoryRank(int(pos)))
 		//lint:ignore floatcmp v == v is the canonical NaN-sentinel test (false iff v is NaN), not a value comparison
-		if v := c.memo[idx]; v == v {
-			if !c.memoShared {
-				c.memoHits++
-			}
+		if v := c.memo[c.memoOff[dim]+int(c.DS.CategoryRank(int(pos)))]; v == v {
 			return v
 		}
-		v := c.attrSimDirect(dim, pos)
-		if !c.memoShared {
-			// Lazy single-goroutine fill; a shared (eagerly filled)
-			// table stays read-only so workers never race.
-			c.memoMisses++
-			c.memo[idx] = v
-		}
-		return v
 	}
 	return c.attrSimDirect(dim, pos)
 }
@@ -229,81 +212,49 @@ func (c *Context) attrSimDirect(dim int, pos int32) float64 {
 	return vectormath.CosPrenormed(dot, c.exNorms[dim], c.DS.AttrNorm(int(pos)))
 }
 
-// memoSize lays out the memo offsets (one dense segment per example
-// dimension, sized by the dimension's category population) and returns the
-// total entry count.
-func (c *Context) memoSize() int {
-	if c.memoOff == nil {
-		c.memoOff = make([]int, c.M+1)
-		for d := 0; d < c.M; d++ {
-			c.memoOff[d+1] = c.memoOff[d] + len(c.DS.CategoryObjects(c.Ex.Categories[d]))
-		}
-	}
-	return c.memoOff[c.M]
-}
+// EnableMemo fills the memo (PrepareMemoShared) and drops its count.
+func (c *Context) EnableMemo() { c.PrepareMemoShared() }
 
-// EnableMemo switches AttrSim to lazily memoized mode: the first lookup of
-// each (dimension, candidate) computes and stores the cosine, later
-// lookups are table reads. The table is NaN-initialised and must only be
-// filled from a single goroutine. HSP and LORA fill the memo eagerly
-// instead (PrepareMemoShared), at any worker count. Worst-case memory is
-// m x N float64s; the category-dense layout shrinks that to the query's
-// actual candidate universe (sum over dimensions of the matching
-// category's population).
-func (c *Context) EnableMemo() {
-	if c.memo != nil {
-		return
-	}
-	n := c.memoSize()
-	c.memo = make([]float64, n)
-	nan := math.NaN()
-	for i := range c.memo {
-		c.memo[i] = nan
-	}
-}
-
-// PrepareMemoShared eagerly fills the memo for every (dimension, matching
-// candidate) pair — dimensions pinned to a fixed object get only that
-// object's entry — and freezes it read-only, so concurrent subspace
-// workers can share the Context without racing, and OrderByBound can
-// bound subspaces from it. It returns how many cosines were computed
-// (the query's memo misses; every later AttrSim is a hit). Calling it
-// again is a no-op returning 0.
+// PrepareMemoShared fills the memo for every (dimension, matching
+// candidate) pair — a dimension pinned to a fixed object gets only that
+// object's entry — so concurrent subspace workers can share the
+// Context read-only, and OrderByBound can bound subspaces from it. The
+// table has one dense segment per dimension, sized by its category's
+// population: the query's candidate universe, at most m x N float64s.
+// It returns how many cosines it computed (the query's memo misses;
+// every later AttrSim is a hit). Calling it again is a no-op returning
+// 0.
 func (c *Context) PrepareMemoShared() int64 {
-	if c.memoShared {
+	if c.memo != nil {
 		return 0
 	}
-	c.EnableMemo()
+	c.memoOff = make([]int, c.M+1)
+	for d := 0; d < c.M; d++ {
+		c.memoOff[d+1] = c.memoOff[d] + len(c.DS.CategoryObjects(c.Ex.Categories[d]))
+	}
+	c.memo = make([]float64, c.memoOff[c.M])
 	var computed int64
 	for d := 0; d < c.M; d++ {
+		seg := c.memo[c.memoOff[d]:c.memoOff[d+1]]
 		if fixed := c.Ex.FixedDim(d); fixed >= 0 {
-			idx := c.memoOff[d] + int(c.DS.CategoryRank(int(fixed)))
-			c.memo[idx] = c.attrSimDirect(d, fixed)
+			for r := range seg {
+				seg[r] = math.NaN()
+			}
+			seg[c.DS.CategoryRank(int(fixed))] = c.attrSimDirect(d, fixed)
 			computed++
 			continue
 		}
 		for r, pos := range c.DS.CategoryObjects(c.Ex.Categories[d]) {
-			c.memo[c.memoOff[d]+r] = c.attrSimDirect(d, pos)
-			computed++
+			seg[r] = c.attrSimDirect(d, pos)
 		}
+		computed += int64(len(seg))
 	}
-	// Lazy fills that happened before the eager pass are already counted
-	// in memoMisses; don't double-report them.
-	computed -= c.memoMisses
-	c.memoShared = true
 	return computed
 }
 
-// MemoShared reports whether the memo is in eager read-only mode (its
-// users then count their own hits; see MemoCounters).
-func (c *Context) MemoShared() bool { return c.memoShared }
-
-// MemoCounters returns the lazy-mode hit/miss counts. In shared mode the
-// misses are returned by PrepareMemoShared and hits are counted by the
-// callers (every AttrSim against a complete table is a hit).
-func (c *Context) MemoCounters() (hits, misses int64) {
-	return c.memoHits, c.memoMisses
-}
+// MemoShared reports whether the memo is filled: its users then count
+// every similarity they read as a hit.
+func (c *Context) MemoShared() bool { return c.memo != nil }
 
 // SpatialSim returns SIMs between the example and a tuple given the tuple's
 // distance vector y (prefix-friendly order).

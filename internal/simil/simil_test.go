@@ -194,8 +194,9 @@ func TestCandidatesSorted(t *testing.T) {
 	for i := range all {
 		all[i] = int32(i)
 	}
+	var bs BatchScratch
 	for d := 0; d < c.M; d++ {
-		cands := c.Candidates(d, all)
+		cands := c.CandidatesBatchInto(nil, d, all, &bs)
 		for i := 1; i < len(cands); i++ {
 			if cands[i].Sim > cands[i-1].Sim {
 				t.Fatalf("dim %d: candidates not sorted desc at %d", d, i)
@@ -209,9 +210,6 @@ func TestCandidatesSorted(t *testing.T) {
 				t.Fatalf("dim %d: candidate sim stale", d)
 			}
 		}
-	}
-	if MaxSim(nil) != 0 {
-		t.Error("MaxSim(nil) should be 0")
 	}
 }
 
