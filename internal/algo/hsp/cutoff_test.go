@@ -9,6 +9,7 @@ import (
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
+	"spatialseq/internal/simil"
 	"spatialseq/internal/stats"
 	"spatialseq/internal/testutil"
 	"spatialseq/internal/topk"
@@ -61,11 +62,21 @@ func (s *searcher) dfsPerCandidate(dim int, attrSum float64) (tailUsed int) {
 }
 
 // searchPerCandidate is the sequential search with dfsPerCandidate in
-// place of dfs, over the same prepared subspaces.
+// place of dfs, over the same prepared subspaces. dfsPerCandidate reads
+// the lists directly, so its prep sorts every head in full.
 func searchPerCandidate(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Options) ([]topk.Entry, stats.Snapshot, int) {
 	tailUsed := 0
 	res, work, _ := searchSequential(t, ds, q, opt,
-		func(s *searcher, p *prepState, ss *partition.Subspace) bool { return s.prepareInto(p, ds, q, ss) },
+		func(s *searcher, p *prepState, ss *partition.Subspace) bool {
+			skip := s.prepareInto(p, ds, q, ss)
+			if !skip {
+				for d, list := range p.cands {
+					simil.SortCandidates(list[:p.orders[d].n])
+					p.orders[d].reset(0, len(list))
+				}
+			}
+			return skip
+		},
 		func(s *searcher) { tailUsed += s.dfsPerCandidate(0, 0) })
 	return res, testutil.EnumerationWork(work), tailUsed
 }

@@ -17,12 +17,18 @@
 // Before it gathers any subspace, HSP bounds each one from the eager
 // attribute memo and visits them best-first, stopping at the first whose
 // bound cannot beat the k-th result (simil.Context.OrderByBound).
+//
+// A subspace's prep splits each candidate list into a head, the
+// candidates that can still pass the attribute-only bound, and a tail.
+// The DFS sorts the head only as far as it reads it (headOrder), so that
+// sort runs inside the "hsp.dfs" units, not the "hsp.candidates" ones.
 package hsp
 
 import (
 	"context"
 	"math"
 	"runtime"
+	"sync"
 
 	"spatialseq/internal/algo/sched"
 	"spatialseq/internal/dataset"
@@ -69,11 +75,13 @@ type Options struct {
 	// "hsp.bound" children for the plan, then one "hsp.candidates" unit
 	// span per subspace prep and one "hsp.dfs" unit span per enumerated
 	// chunk, each tagged with both its worker lane and owning subspace
-	// and carrying that unit's work-counter delta. The memo fill and
-	// the bound pass carry theirs too, so the deltas sum to Stats but
-	// for SubspacesBounded. Sequential searches run every unit on lane
-	// 0, one chunk per searched subspace. The zero Span disables span
-	// tracing at no cost.
+	// and carrying that unit's work-counter delta. A prep gathers,
+	// scores and splits the candidate lists; the sort of their heads
+	// runs in the "hsp.dfs" units, as far as each reads. The memo fill
+	// and the bound pass carry their deltas too, so the deltas sum to
+	// Stats but for SubspacesBounded. Sequential searches run every
+	// unit on lane 0, one chunk per searched subspace. The zero Span
+	// disables span tracing at no cost.
 	Span span.Span
 }
 
@@ -192,15 +200,19 @@ func (s *searcher) Chunk(p *prepState, w, sub, lo, hi int) error {
 }
 
 // prepState is one subspace's prepared search state: the per-dimension
-// candidate lists and Eq. 6 suffix maxima, and how many candidates the
-// prep scored (a skipped subspace's lists up to the empty one).
-// sched.Run pools prep states, hands each from the preparing worker to
-// the chunk workers (read-only during enumeration), and recycles it
-// when the subspace's last chunk finishes.
+// candidate lists with their head orders, the Eq. 6 suffix maxima, and
+// how many candidates the prep scored (a skipped subspace's lists up to
+// the empty one). sched.Run pools prep states, hands each from the
+// preparing worker to the chunk workers, and recycles it when the
+// subspace's last chunk finishes. Chunk workers share it: each reads a
+// list below the ready length it loaded, and extends a head order only
+// under mu.
 type prepState struct {
 	cands      [][]simil.Cand
+	orders     []headOrder
 	rbarSuffix []float64
 	scored     int64
+	mu         sync.Mutex
 }
 
 type searcher struct {
@@ -219,8 +231,9 @@ type searcher struct {
 	// list holds (see sameCategoryBefore).
 	repeats []int
 
-	// cands/rbarSuffix are views of the prep state attached for the
-	// current DFS.
+	// prep is the prep state attached for the current DFS, and
+	// cands/rbarSuffix are views of it.
+	prep       *prepState
 	cands      [][]simil.Cand
 	rbarSuffix []float64
 	steps      int
@@ -233,6 +246,7 @@ type searcher struct {
 // attach points the DFS at a prepared subspace's candidate lists and
 // resets the prefix scratch.
 func (s *searcher) attach(p *prepState) {
+	s.prep = p
 	s.cands = p.cands
 	s.rbarSuffix = p.rbarSuffix
 	s.scratch.Reset()
@@ -241,13 +255,15 @@ func (s *searcher) attach(p *prepState) {
 // prepareInto builds the per-subspace candidate lists and Eq. 6 suffix
 // maxima into p. It reports skip=true when some dimension has no
 // candidate (the subspace cannot produce a tuple) or a pinned object
-// falls outside the ac-subspace. Each list is sorted only in its head,
-// the candidates the DFS can still reach (see sortHead).
+// falls outside the ac-subspace. Each list is split into a head, the
+// candidates the DFS can still reach, and a tail (see splitHead); the
+// DFS sorts the head as it reads it.
 func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query, ss *partition.Subspace) (skip bool) {
 	c := s.sctx
 	m := c.M
 	if p.cands == nil {
 		p.cands = make([][]simil.Cand, m)
+		p.orders = make([]headOrder, m)
 		p.rbarSuffix = make([]float64, m+1)
 	}
 	p.scored = 0
@@ -277,22 +293,24 @@ func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query
 	var prefix float64
 	for d := 0; d < m; d++ {
 		best := p.cands[d][0].Sim
-		s.sortHead(p.cands[d], d, prefix, p.rbarSuffix)
+		p.orders[d].reset(s.splitHead(p.cands[d], d, prefix, p.rbarSuffix), len(p.cands[d]))
 		prefix += best
 	}
 	return false
 }
 
-// sortHead moves to the front of dim's list, and sorts, the candidates
-// that can still pass the DFS's attribute-only bound; the rest stay
-// unsorted behind them. A candidate can pass when its bound, taken at
-// prefix (the sum of the earlier dimensions' maxima, added in the DFS's
-// order), passes the threshold the sink holds now. The bound never
-// rises as the candidate's sim or the prefix sum falls, float addition
-// preserves order, and the threshold never falls. So every tail
-// candidate fails at every visit: the DFS cuts at or before the first
-// of them, and its cut count does not depend on the tail's order.
-func (s *searcher) sortHead(list []simil.Cand, dim int, prefix float64, rbarSuffix []float64) {
+// splitHead moves to the front of dim's list the candidates that can
+// still pass the DFS's attribute-only bound, its head, and returns how
+// many there are; the rest, its tail, stay behind them. It sorts
+// nothing: the DFS sorts the head as it reads it (headOrder). A
+// candidate can pass when its bound, taken at prefix (the sum of the
+// earlier dimensions' maxima, added in the DFS's order), passes the
+// threshold the sink holds now. The bound never rises as the
+// candidate's sim or the prefix sum falls, float addition preserves
+// order, and the threshold never falls. So every tail candidate fails
+// at every visit: the DFS cuts at or before the first of them, and its
+// cut count does not depend on the tail's order.
+func (s *searcher) splitHead(list []simil.Cand, dim int, prefix float64, rbarSuffix []float64) int {
 	c := s.sctx
 	n := 0
 	for i, cand := range list {
@@ -301,7 +319,7 @@ func (s *searcher) sortHead(list []simil.Cand, dim int, prefix float64, rbarSuff
 			n++
 		}
 	}
-	simil.SortCandidates(list[:n])
+	return n
 }
 
 // attrBound is the attribute-only bound on a tuple whose first next
@@ -321,14 +339,21 @@ const checkEvery = 4096
 // candidates, restricted at this level to the index range [lo, hi) —
 // the stealing path hands different dim-0 ranges of one subspace to
 // different workers; recursion always descends over the next
-// dimension's full list.
+// dimension's full list. It reads the list below its head order's ready
+// length and extends the order on reaching it, so every index it reads
+// holds what the fully sorted head holds there.
 //
 //seq:hotpath
 func (s *searcher) dfs(dim int, attrSum float64, lo, hi int) error {
 	c := s.sctx
-	level := s.cands[dim][lo:hi]
+	list := s.cands[dim]
+	ready := int(s.prep.orders[dim].ready.Load())
 	skipped := 0 // earlier tuple objects passed over before the cut
-	for i, cand := range level {
+	for i := lo; i < hi; i++ {
+		if i >= ready {
+			ready = s.prep.extend(dim, i)
+		}
+		cand := list[i]
 		if s.steps++; s.steps%checkEvery == 0 {
 			select {
 			case <-s.ctx.Done():
@@ -343,14 +368,14 @@ func (s *searcher) dfs(dim int, attrSum float64, lo, hi int) error {
 		sum := attrSum + cand.Sim
 		attrBound := s.attrBound(sum, dim+1, s.rbarSuffix)
 		if !s.heap.WouldAccept(c.Combine(1, attrBound)) {
-			// The list's head is sorted by similarity, so the
+			// The list's head is read in similarity order, so the
 			// attribute-only bound never rises along it, the top-k
-			// threshold never falls, and every unsorted tail candidate
-			// fails (sortHead): every later candidate fails too. Cut the
+			// threshold never falls, and every tail candidate fails
+			// (splitHead): every later candidate fails too. Cut the
 			// level and count what testing each of them would have
 			// pruned, which skips the earlier tuple objects the tail
 			// still holds.
-			s.delta.PrunedPrefixes += int64(len(level)-i) - int64(s.repeats[dim]-skipped)
+			s.delta.PrunedPrefixes += int64(hi-i) - int64(s.repeats[dim]-skipped)
 			break
 		}
 		s.tuple[dim] = cand.Pos

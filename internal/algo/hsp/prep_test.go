@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"spatialseq/internal/algo/sched"
@@ -94,14 +95,15 @@ func (w *refWorker) Chunk(p *prepState, _, _, _, _ int) error {
 	return nil
 }
 
-// prepareFullSort is the prep HSP ran before the region gather and
-// sortHead, with a brute scan of the category for the region's objects:
-// every list is simil.Context.CandidatesBatchInto over them, sorted in
-// full.
+// prepareFullSort is the prep HSP ran before the region gather and the
+// head split, with a brute scan of the category for the region's
+// objects: every list is simil.Context.CandidatesBatchInto over them,
+// sorted in full, and its order marks it so.
 func (s *searcher) prepareFullSort(p *prepState, ds *dataset.Dataset, q *query.Query, ss *partition.Subspace) (skip bool) {
 	c := s.sctx
 	if p.cands == nil {
 		p.cands = make([][]simil.Cand, c.M)
+		p.orders = make([]headOrder, c.M)
 		p.rbarSuffix = make([]float64, c.M+1)
 	}
 	p.scored = 0
@@ -124,6 +126,7 @@ func (s *searcher) prepareFullSort(p *prepState, ds *dataset.Dataset, q *query.Q
 		if len(p.cands[d]) == 0 {
 			return true
 		}
+		p.orders[d].reset(0, len(p.cands[d]))
 	}
 	p.rbarSuffix[c.M] = 0
 	for d := c.M - 1; d >= 0; d-- {
@@ -149,10 +152,9 @@ func searchFullSort(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Optio
 }
 
 // headProbe inspects prepareInto's lists: how often an object in a
-// dimension's sorted head also sits in the unsorted tail of a later
-// dimension of the same category (where it is an earlier tuple object
-// the DFS skips), and how often a head ends in a tie with a tail behind
-// it.
+// dimension's head also sits in the tail of a later dimension of the
+// same category (where it is an earlier tuple object the DFS skips),
+// and how often the sorted head ends in a tie with a tail behind it.
 type headProbe struct{ usedInTail, tiedHeadEnd int }
 
 func (pr *headProbe) inspect(s *searcher, p *prepState, q *query.Query) {
@@ -166,7 +168,9 @@ func (pr *headProbe) inspect(s *searcher, p *prepState, q *query.Query) {
 			}
 		}
 		prefix += list[0].Sim
-		if n := heads[d]; n > 1 && n < len(list) && list[n-1].Sim == list[n-2].Sim {
+		head := slices.Clone(list[:heads[d]])
+		simil.SortCandidates(head)
+		if n := heads[d]; n > 1 && n < len(list) && head[n-1].Sim == head[n-2].Sim {
 			pr.tiedHeadEnd++
 		}
 	}

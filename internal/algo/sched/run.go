@@ -12,7 +12,8 @@ type Worker[P any] interface {
 	Prep(p *P, w, sub int) (roots int, err error)
 	// Chunk enumerates the roots [lo, hi) of subspace sub, prepared in
 	// p, on worker lane w. Other workers may enumerate other chunks of
-	// the same p at the same time, so Chunk only reads it.
+	// the same p at the same time, so Chunk only reads it, or guards
+	// what it writes with a lock of p's own.
 	Chunk(p *P, w, sub, lo, hi int) error
 }
 

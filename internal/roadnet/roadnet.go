@@ -17,7 +17,6 @@
 package roadnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -112,16 +111,16 @@ func (n *Network) ShortestPaths(src int32) []float64 {
 		return dist
 	}
 	dist[src] = 0
-	pq := &distQueue{{node: src, dist: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
+	pq := distQueue{{node: src, dist: 0}}
+	for len(pq) > 0 {
+		it := pq.pop()
 		if it.dist > dist[it.node] {
 			continue // stale entry
 		}
 		for _, e := range n.adj[it.node] {
 			if nd := it.dist + e.w; nd < dist[e.to] {
 				dist[e.to] = nd
-				heap.Push(pq, distItem{node: e.to, dist: nd})
+				pq.push(distItem{node: e.to, dist: nd})
 			}
 		}
 	}
@@ -133,18 +132,46 @@ type distItem struct {
 	dist float64
 }
 
+// distQueue is Dijkstra's binary min-heap on dist. It is typed, so no
+// item is boxed on its way in or out, and it sifts as container/heap
+// does, so items leave it in the same order, ties included.
 type distQueue []distItem
 
-func (q distQueue) Len() int           { return len(q) }
-func (q distQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q distQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *distQueue) Push(x any)        { *q = append(*q, x.(distItem)) }
-func (q *distQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (q *distQueue) push(it distItem) {
+	*q = append(*q, it)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *distQueue) pop() distItem {
+	h := *q
+	n := len(h) - 1
+	top := h[0]
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].dist < h[j].dist {
+			j = r
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h
+	return top
 }
 
 // Metric adapts a Network to query.Metric with an LRU cache of

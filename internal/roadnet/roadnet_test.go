@@ -1,6 +1,7 @@
 package roadnet
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"testing"
@@ -129,6 +130,116 @@ func TestShortestPathsAgainstBellmanFord(t *testing.T) {
 		if math.Abs(got[i]-want) > 1e-9 {
 			t.Fatalf("node %d: Dijkstra %g, Bellman-Ford %g", i, got[i], want)
 		}
+	}
+}
+
+// refQueue is distQueue behind container/heap's interface, the queue
+// ShortestPaths used before it was typed.
+type refQueue []distItem
+
+func (q refQueue) Len() int           { return len(q) }
+func (q refQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
+func (q refQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)        { *q = append(*q, x.(distItem)) }
+func (q *refQueue) Pop() any {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
+// refShortestPaths is ShortestPaths over container/heap.
+func refShortestPaths(net *Network, src int32) []float64 {
+	dist := make([]float64, net.NumNodes())
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
+	pq := &refQueue{{node: src, dist: 0}}
+	for pq.Len() > 0 {
+		it := heap.Pop(pq).(distItem)
+		if it.dist > dist[it.node] {
+			continue
+		}
+		for _, e := range net.adj[it.node] {
+			if nd := it.dist + e.w; nd < dist[e.to] {
+				dist[e.to] = nd
+				heap.Push(pq, distItem{node: e.to, dist: nd})
+			}
+		}
+	}
+	return dist
+}
+
+// TestDistQueueMatchesContainerHeap interleaves pushes and pops of
+// items with few distinct distances: distQueue must hand them out in
+// container/heap's order, item for item, ties included. (Dijkstra's
+// distances alone would not show a misordered queue: a node popped too
+// early is relaxed again when its distance falls.)
+func TestDistQueueMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(262))
+	for trial := 0; trial < 200; trial++ {
+		var got distQueue
+		want := &refQueue{}
+		for op := 0; op < 300; op++ {
+			if len(got) == 0 || rng.Intn(3) > 0 {
+				it := distItem{node: int32(op), dist: float64(rng.Intn(6))}
+				got.push(it)
+				heap.Push(want, it)
+				continue
+			}
+			if g, w := got.pop(), heap.Pop(want).(distItem); g != w {
+				t.Fatalf("trial %d op %d: popped %+v, container/heap %+v", trial, op, g, w)
+			}
+		}
+	}
+}
+
+// TestShortestPathsMatchContainerHeap holds ShortestPaths to the same
+// Dijkstra over container/heap, bit for bit, from every source of
+// random graphs on a coarse lattice whose whole-number weights make
+// many distances tie.
+func TestShortestPathsMatchContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(261))
+	ties := 0
+	for trial := 0; trial < 30; trial++ {
+		nn := 2 + rng.Intn(120)
+		nodes := make([]geo.Point, nn)
+		for i := range nodes {
+			nodes[i] = geo.Point{X: float64(rng.Intn(8)), Y: float64(rng.Intn(8))}
+		}
+		var edges [][2]int32
+		var weights []float64
+		for e := 0; e < 2*nn; e++ {
+			a, b := int32(rng.Intn(nn)), int32(rng.Intn(nn))
+			if a == b {
+				continue
+			}
+			edges = append(edges, [2]int32{a, b})
+			weights = append(weights, math.Ceil(nodes[a].Dist(nodes[b]))+float64(rng.Intn(2)))
+		}
+		net, err := NewNetwork(nodes, edges, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for src := int32(0); int(src) < nn; src++ {
+			got, want := net.ShortestPaths(src), refShortestPaths(net, src)
+			seen := map[float64]bool{}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d source %d node %d: %v, container/heap %v", trial, src, i, got[i], want[i])
+				}
+				if !math.IsInf(got[i], 1) {
+					if seen[got[i]] {
+						ties++
+					}
+					seen[got[i]] = true
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Error("no two nodes tied in distance from a source")
 	}
 }
 

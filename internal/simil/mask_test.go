@@ -3,6 +3,7 @@ package simil
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialseq/internal/geo"
@@ -115,27 +116,35 @@ func TestNonDominatingMetricRadius(t *testing.T) {
 func TestSimOfPositionsWithMask(t *testing.T) {
 	rng := rand.New(rand.NewSource(176))
 	c, q := maskedCtx(t, rng, [][2]int{{0, 1}}, nil)
-	// brute-assemble a tuple and verify SimOfPositions agrees with a
-	// manual masked computation
-	tuple := make([]int32, 3)
-	for d := 0; d < 3; d++ {
-		objs := c.DS.CategoryObjects(q.Example.Categories[d])
-		if len(objs) == 0 {
-			t.Skip("no candidates")
+	// Scan the category objects for the first distinct tuple that beta
+	// admits, and verify SimOfPositions agrees with a manual masked
+	// computation on it.
+	tuple, locs := make([]int32, 3), make([]geo.Point, 3)
+	var scan func(d int) bool
+	scan = func(d int) bool {
+		if d == len(tuple) {
+			return c.NormOK(geo.Norm(c.DistVectorOf(locs, nil)))
 		}
-		tuple[d] = objs[d%len(objs)]
+		for _, pos := range c.DS.CategoryObjects(q.Example.Categories[d]) {
+			if slices.Contains(tuple[:d], pos) {
+				continue
+			}
+			tuple[d], locs[d] = pos, c.DS.Loc(int(pos))
+			if scan(d + 1) {
+				return true
+			}
+		}
+		return false
 	}
-	if tuple[0] == tuple[1] || tuple[1] == tuple[2] || tuple[0] == tuple[2] {
-		t.Skip("degenerate tuple")
+	if !scan(0) {
+		t.Fatal("no distinct tuple of the example's categories is feasible under beta")
 	}
 	sim, ok := c.SimOfPositions(tuple)
 	if !ok {
-		t.Skip("tuple infeasible under beta")
+		t.Fatalf("SimOfPositions rejects %v, which beta admits", tuple)
 	}
-	locs := make([]geo.Point, 3)
 	attrs := make([]float64, 3)
 	for d, pos := range tuple {
-		locs[d] = c.DS.Object(int(pos)).Loc
 		attrs[d] = c.AttrSim(d, pos)
 	}
 	y := c.DistVectorOf(locs, nil)
