@@ -42,6 +42,7 @@ func SearchObserved(ctx context.Context, ds *dataset.Dataset, q *query.Query, st
 		return nil, err
 	}
 	sctx := simil.NewContext(ds, q)
+	defer sctx.Release()
 	m := sctx.M
 	s := &searcher{
 		ctx:     ctx,

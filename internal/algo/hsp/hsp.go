@@ -28,6 +28,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"spatialseq/internal/algo/sched"
@@ -92,6 +93,7 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 		return nil, err
 	}
 	sctx := simil.NewContext(ds, q)
+	defer sctx.Release()
 	workers := opt.Parallelism
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -109,10 +111,18 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	// Workers are deliberately not capped at len(work): chunked stealing
 	// lets several workers share one subspace's DFS root level, so even a
 	// single-subspace query (DisablePartition, or a pinned dim 0)
-	// parallelizes.
-	cut, err := sched.Run(len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, workers, hspMinChunk, opt.Steal, func() sched.Worker[prepState] {
-		return newSearcher(ctx, sctx, sink, q, ix, work, opt)
+	// parallelizes. Run makes the workers on this goroutine, so they
+	// can be collected here and released once it returns.
+	var made [2]*searcher
+	wks := made[:0]
+	cut, err := sched.Run(&states, len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, workers, hspMinChunk, opt.Steal, func() sched.Worker[prepState] {
+		s := newSearcher(ctx, sctx, sink, q, ix, work, opt)
+		wks = append(wks, s)
+		return s
 	})
+	for _, s := range wks {
+		s.release()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -141,21 +151,36 @@ func plan(sctx *simil.Context, ix *partition.Index, opt Options) ([]*partition.S
 		Phases: planPhases, Span: opt.Span, Stats: opt.Stats})
 }
 
+// states and searchers keep HSP's prepared states and searchers, with
+// their buffers, from one query to the next.
+var (
+	states    sched.Pool[prepState]
+	searchers sched.Pool[searcher]
+)
+
+// newSearcher takes a searcher from searchers and readies it for one
+// query's search; release gives it back.
 func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, ix *partition.Index, work []*partition.Subspace, opt Options) *searcher {
-	return &searcher{
-		ctx:     ctx,
-		sctx:    sctx,
-		heap:    sink,
-		q:       q,
-		ix:      ix,
-		work:    work,
-		span:    opt.Span,
-		tuple:   make([]int32, sctx.M),
-		scratch: sctx.NewScratch(),
-		loose:   opt.LooseBounds,
-		repeats: sameCategoryBefore(sctx.Ex),
-		st:      opt.Stats,
+	s := searchers.Get()
+	s.ctx, s.sctx, s.heap, s.q, s.ix, s.work = ctx, sctx, sink, q, ix, work
+	s.span, s.loose, s.st = opt.Span, opt.LooseBounds, opt.Stats
+	s.tuple = slices.Grow(s.tuple[:0], sctx.M)[:sctx.M]
+	sctx.ResetScratch(&s.scratch)
+	s.repeats = sameCategoryBefore(s.repeats, sctx.Ex)
+	return s
+}
+
+// release gives s back to searchers. It keeps only the buffers that
+// hold nothing of the query: the tuple, the DFS and batch scratch and
+// the repeat counts, all rewritten before the next query reads them.
+func (s *searcher) release() {
+	*s = searcher{
+		tuple:   s.tuple,
+		scratch: simil.Scratch{Y: s.scratch.Y, Locs: s.scratch.Locs, AttrSims: s.scratch.AttrSims},
+		batch:   s.batch,
+		repeats: s.repeats,
 	}
+	searchers.Put(s)
 }
 
 // Prep gathers subspace sub's candidate lists into p — exactly once per
@@ -202,17 +227,28 @@ func (s *searcher) Chunk(p *prepState, w, sub, lo, hi int) error {
 // prepState is one subspace's prepared search state: the per-dimension
 // candidate lists with their head orders, the Eq. 6 suffix maxima, and
 // how many candidates the prep scored (a skipped subspace's lists up to
-// the empty one). sched.Run pools prep states, hands each from the
-// preparing worker to the chunk workers, and recycles it when the
-// subspace's last chunk finishes. Chunk workers share it: each reads a
-// list below the ready length it loaded, and extends a head order only
-// under mu.
+// the empty one). sched.Run takes prep states from states, hands each
+// from the preparing worker to the chunk workers, and gives it back
+// when the subspace's last chunk finishes; the next prep, of this query
+// or a later one, sizes it to its m (size) and regrows only the lists
+// that outgrow it. Chunk workers share it: each reads a list below the
+// ready length it loaded, and extends a head order only under mu.
 type prepState struct {
 	cands      [][]simil.Cand
 	orders     []headOrder
 	rbarSuffix []float64
 	scored     int64
 	mu         sync.Mutex
+}
+
+// size readies p for a query of m dimensions. The lists and orders it
+// keeps are stale until the prep rewrites them. orders holds atomics,
+// so it grows by allocating, never by copying live values.
+func (p *prepState) size(m int) {
+	if cap(p.orders) < m {
+		p.cands, p.orders, p.rbarSuffix = make([][]simil.Cand, m), make([]headOrder, m), make([]float64, m+1)
+	}
+	p.cands, p.orders, p.rbarSuffix = p.cands[:m], p.orders[:m], p.rbarSuffix[:m+1]
 }
 
 type searcher struct {
@@ -224,7 +260,7 @@ type searcher struct {
 	work    []*partition.Subspace
 	span    span.Span
 	tuple   []int32
-	scratch *simil.Scratch
+	scratch simil.Scratch
 	batch   simil.BatchScratch
 	loose   bool
 	// repeats[dim] is how many earlier tuple objects dim's candidate
@@ -261,11 +297,7 @@ func (s *searcher) attach(p *prepState) {
 func (s *searcher) prepareInto(p *prepState, ds *dataset.Dataset, q *query.Query, ss *partition.Subspace) (skip bool) {
 	c := s.sctx
 	m := c.M
-	if p.cands == nil {
-		p.cands = make([][]simil.Cand, m)
-		p.orders = make([]headOrder, m)
-		p.rbarSuffix = make([]float64, m+1)
-	}
+	p.size(m)
 	p.scored = 0
 	for d := 0; d < m; d++ {
 		region := ss.AC
@@ -408,15 +440,16 @@ func (s *searcher) dfs(dim int, attrSum float64, lo, hi int) error {
 	return nil
 }
 
-// sameCategoryBefore counts, per example dimension, the earlier
-// dimensions that share its category. Their tuple objects all sit in the
-// dimension's candidate list: a prefix object lies in the ac-subspace
-// (its AC rectangle contains the core), and the list is exactly the
-// ac-subspace's objects of that category (partition.Index.Gather over
-// AC). A pinned dimension's list holds only its own object and counts
-// none.
-func sameCategoryBefore(ex *query.Example) []int {
-	out := make([]int, ex.M())
+// sameCategoryBefore counts into out, resized, per example dimension,
+// the earlier dimensions that share its category. Their tuple objects
+// all sit in the dimension's candidate list: a prefix object lies in
+// the ac-subspace (its AC rectangle contains the core), and the list is
+// exactly the ac-subspace's objects of that category
+// (partition.Index.Gather over AC). A pinned dimension's list holds
+// only its own object and counts none.
+func sameCategoryBefore(out []int, ex *query.Example) []int {
+	out = slices.Grow(out[:0], ex.M())[:ex.M()]
+	clear(out)
 	for dim := range out {
 		if ex.FixedDim(dim) >= 0 {
 			continue

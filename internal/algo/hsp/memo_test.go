@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spatialseq/internal/algo/brute"
+	"spatialseq/internal/dataset"
 	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/stats"
@@ -50,16 +51,22 @@ func TestMemoCountersAndExactness(t *testing.T) {
 	}
 }
 
-// End-to-end allocation profile of a full HSP search with reused scratch.
-func BenchmarkSearchAllocs(b *testing.B) {
+// allocQuery is the fixed 1,000-object query of BenchmarkSearchAllocs
+// and the allocation guard.
+func allocQuery(tb testing.TB) (*dataset.Dataset, *partition.Index, *query.Query) {
 	rng := rand.New(rand.NewSource(125))
 	ds := testutil.RandDataset(rng, 1000, 3, 4, 100)
-	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 3, 20, params)
 	if err := q.Validate(ds); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return ds, partition.NewIndex(ds), q
+}
+
+// End-to-end allocation profile of a full HSP search with pooled state.
+func BenchmarkSearchAllocs(b *testing.B) {
+	ds, ix, q := allocQuery(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

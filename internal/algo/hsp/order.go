@@ -13,10 +13,10 @@ const insertionCutoff = 12
 // headOrder sorts one candidate list's head, its first n candidates,
 // only as far as the DFS reads it: Paredes and Navarro's incremental
 // quicksort ("Optimal Incremental Sorting", ALENEX 2006), which puts the
-// first r of n candidates in order in O(n + r log r). The order is
-// simil.SortCandidates' total order (similarity descending, position
-// ascending), and a list's positions are distinct, so index i holds
-// what a full sort of the head puts there. The tail behind the head
+// first r of n candidates in order in O(n + r log r). The order is the
+// candidate order (simil.Cand.Before: similarity descending, position
+// ascending), a total order on a list, whose positions are distinct, so
+// index i holds what a full sort of the head puts there. The tail behind the head
 // never moves.
 type headOrder struct {
 	// ready is how far the list may be read: the head's sorted prefix,
@@ -61,7 +61,7 @@ func (p *prepState) extend(dim, i int) int {
 	for sorted <= i {
 		end := o.ends[len(o.ends)-1]
 		if end-sorted > insertionCutoff {
-			//lint:ignore hotpathalloc the stack grows to about twice log2 of the head, once per pooled prep state
+			//lint:ignore hotpathalloc the stack grows to about twice log2 of the head, once per prep state; the pool keeps it across queries
 			o.ends = append(o.ends, sorted+placePivot(list[sorted:end]))
 			continue
 		}
@@ -77,25 +77,17 @@ func (p *prepState) extend(dim, i int) int {
 	return sorted
 }
 
-// before reports whether a precedes b in simil.SortCandidates' order.
-func before(a, b simil.Cand) bool {
-	if a.Sim > b.Sim {
-		return true
-	}
-	return !(a.Sim < b.Sim) && a.Pos < b.Pos
-}
-
 // placePivot reorders seg, of at least three candidates, around the
 // median of its first, middle and last, and returns the pivot's index:
 // every candidate before it precedes it and every one after it follows.
 func placePivot(seg []simil.Cand) int {
 	last, mid := len(seg)-1, len(seg)/2
-	if before(seg[mid], seg[0]) {
+	if seg[mid].Before(seg[0]) {
 		seg[mid], seg[0] = seg[0], seg[mid]
 	}
-	if before(seg[last], seg[mid]) {
+	if seg[last].Before(seg[mid]) {
 		seg[last], seg[mid] = seg[mid], seg[last]
-		if before(seg[mid], seg[0]) {
+		if seg[mid].Before(seg[0]) {
 			seg[mid], seg[0] = seg[0], seg[mid]
 		}
 	}
@@ -103,10 +95,10 @@ func placePivot(seg []simil.Cand) int {
 	pivot := seg[0]
 	i, j := 1, last
 	for {
-		for i <= j && before(seg[i], pivot) {
+		for i <= j && seg[i].Before(pivot) {
 			i++
 		}
-		for i <= j && before(pivot, seg[j]) {
+		for i <= j && pivot.Before(seg[j]) {
 			j--
 		}
 		if i > j {
@@ -120,12 +112,12 @@ func placePivot(seg []simil.Cand) int {
 	return j
 }
 
-// insertionSort sorts a short segment in simil.SortCandidates' order.
+// insertionSort sorts a short segment in the candidate order.
 func insertionSort(seg []simil.Cand) {
 	for i := 1; i < len(seg); i++ {
 		c := seg[i]
 		j := i
-		for ; j > 0 && before(c, seg[j-1]); j-- {
+		for ; j > 0 && c.Before(seg[j-1]); j-- {
 			seg[j] = seg[j-1]
 		}
 		seg[j] = c

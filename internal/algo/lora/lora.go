@@ -91,6 +91,7 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 		return nil, err
 	}
 	sctx := simil.NewContext(ds, q)
+	defer sctx.Release()
 	workers := opt.Parallelism
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -106,10 +107,19 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 		return nil, err
 	}
 	// Workers are deliberately not capped at len(work): chunked stealing
-	// lets several workers share one subspace's root cell list.
-	cut, err := sched.Run(len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, workers, 1, opt.Steal, func() sched.Worker[prepState] {
-		return newSearcher(ctx, sctx, sink, q, ix, work, opt)
+	// lets several workers share one subspace's root cell list. Run
+	// makes the workers on this goroutine, so they can be collected here
+	// and released once it returns.
+	var made [2]*searcher
+	wks := made[:0]
+	cut, err := sched.Run(&states, len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, workers, 1, opt.Steal, func() sched.Worker[prepState] {
+		s := newSearcher(ctx, sctx, sink, q, ix, work, opt)
+		wks = append(wks, s)
+		return s
 	})
+	for _, s := range wks {
+		s.release()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -133,35 +143,81 @@ func plan(sctx *simil.Context, ix *partition.Index, opt Options) ([]*partition.S
 		Phases: planPhases, Span: opt.Span, Stats: opt.Stats})
 }
 
+// states and searchers keep LORA's prepared states and searchers, with
+// their buffers, from one query to the next.
+var (
+	states    sched.Pool[prepState]
+	searchers sched.Pool[searcher]
+)
+
+// newSearcher takes a searcher from searchers and readies it for one
+// query's search, its tuple-sized scratch sized to the query's m;
+// release gives it back.
 func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, ix *partition.Index, work []*partition.Subspace, opt Options) *searcher {
-	return &searcher{
-		ctx:   ctx,
-		sctx:  sctx,
-		heap:  sink,
-		q:     q,
-		ix:    ix,
-		work:  work,
-		opt:   opt,
-		st:    opt.Stats,
-		tuple: make([]int32, sctx.M),
-		asims: make([]float64, sctx.M),
-		dist:  make([]float64, 0, sctx.Pairs),
+	s := searchers.Get()
+	s.ctx, s.sctx, s.heap, s.q, s.ix, s.work, s.opt, s.st = ctx, sctx, sink, q, ix, work, opt, opt.Stats
+	m := sctx.M
+	s.tuple = slices.Grow(s.tuple[:0], m)[:m]
+	s.asims = slices.Grow(s.asims[:0], m)[:m]
+	s.dist = slices.Grow(s.dist[:0], sctx.Pairs)
+	s.cellTuple = slices.Grow(s.cellTuple[:0], m)[:m]
+	s.simScratch = slices.Grow(s.simScratch[:0], m)[:m]
+	s.listsBuf = slices.Grow(s.listsBuf[:0], m)[:m]
+	return s
+}
+
+// release gives s back to searchers. It keeps only the buffers that
+// hold nothing of the query, each rewritten before the next query reads
+// it: the gather and scoring buffers, the enumeration scratch and the
+// rank-graph enumerator, and the tuple assembly scratch. The list views
+// into the last prep state are dropped.
+func (s *searcher) release() {
+	clear(s.listsBuf)
+	*s = searcher{
+		posBuf:     s.posBuf,
+		simBuf:     s.simBuf,
+		cellTuple:  s.cellTuple,
+		simScratch: s.simScratch,
+		listsBuf:   s.listsBuf,
+		enum:       s.enum,
+		tuple:      s.tuple,
+		asims:      s.asims,
+		dist:       s.dist,
 	}
+	searchers.Put(s)
 }
 
 // prepState is one subspace's prepared search state: the grid, the
 // sampled (dimension, cell) buckets and the sorted cell lists with
 // their Eq.-style suffix maxima, and how many similarities the prep
-// read: its candidates and its pinned objects. sched.Run pools prep
-// states, hands each from the preparing worker to the chunk workers
-// (read-only during enumeration — grid MinDist/MaxDist are pure), and
-// recycles it when the subspace's last chunk finishes.
+// read: its candidates and its pinned objects. sched.Run takes prep
+// states from states, hands each from the preparing worker to the chunk
+// workers (read-only during enumeration — grid MinDist/MaxDist are
+// pure), and gives it back when the subspace's last chunk finishes; the
+// next prep, of this query or a later one, sizes it to its m and grid
+// (size) and regrows only the buckets that outgrow it.
 type prepState struct {
-	g          *grid.Grid
+	g          grid.Grid
 	buckets    [][][]simil.Cand // [dim][cell] candidates, maximum first; sampled and sorted desc where reachable
 	cellLists  [][]scoredCell   // [dim] non-empty cells sorted by score desc
 	rbarSuffix []float64
 	scored     int64
+}
+
+// size readies p for a query of m dimensions over a grid of nc cells:
+// every bucket and cell list is emptied, the rest is rewritten by the
+// prep.
+func (p *prepState) size(m, nc int) {
+	p.buckets = slices.Grow(p.buckets[:0], m)[:m]
+	p.cellLists = slices.Grow(p.cellLists[:0], m)[:m]
+	p.rbarSuffix = slices.Grow(p.rbarSuffix[:0], m+1)[:m+1]
+	for d := range p.buckets {
+		p.buckets[d] = slices.Grow(p.buckets[d][:0], nc)[:nc]
+		for i := range p.buckets[d] {
+			p.buckets[d][i] = p.buckets[d][i][:0]
+		}
+		p.cellLists[d] = p.cellLists[d][:0]
+	}
 }
 
 type searcher struct {
@@ -193,7 +249,8 @@ type searcher struct {
 	posBuf []int32
 	simBuf []float64
 
-	// enumeration scratch (per-searcher, reused across cell tuples)
+	// enumeration scratch, sized by newSearcher and reused across cell
+	// tuples and queries
 	cellTuple  []int
 	simScratch [][]float64
 	listsBuf   [][]simil.Cand
@@ -205,18 +262,12 @@ type searcher struct {
 	dist  []float64
 }
 
-// attach points the enumeration at a prepared subspace's state and
-// lazily sizes the per-searcher enumeration scratch.
+// attach points the enumeration at a prepared subspace's state.
 func (s *searcher) attach(p *prepState) {
-	s.g = p.g
+	s.g = &p.g
 	s.buckets = p.buckets
 	s.cellLists = p.cellLists
 	s.rbarSuffix = p.rbarSuffix
-	if s.cellTuple == nil {
-		m := s.sctx.M
-		s.cellTuple = make([]int, m)
-		s.simScratch = make([][]float64, m)
-	}
 }
 
 type scoredCell struct {
@@ -308,27 +359,13 @@ func (s *searcher) Chunk(p *prepState, w, sub, lo, hi int) error {
 func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool, err error) {
 	c := s.sctx
 	m := c.M
-	g, err := grid.New(ss.AC, s.q.Params.GridD)
-	if err != nil {
+	if err := p.g.Reset(ss.AC, s.q.Params.GridD); err != nil {
 		return false, err
 	}
-	p.g = g
+	g := &p.g
 	p.scored = 0
 	nc := g.NumCells()
-	if p.buckets == nil {
-		p.buckets = make([][][]simil.Cand, m)
-		p.cellLists = make([][]scoredCell, m)
-		p.rbarSuffix = make([]float64, m+1)
-	}
-	for d := 0; d < m; d++ {
-		if p.buckets[d] == nil || len(p.buckets[d]) < nc {
-			p.buckets[d] = make([][]simil.Cand, nc)
-		}
-		for i := 0; i < nc; i++ {
-			p.buckets[d][i] = p.buckets[d][i][:0]
-		}
-		p.cellLists[d] = p.cellLists[d][:0]
-	}
+	p.size(m, nc)
 
 	xi := s.q.Params.Xi
 	for d := 0; d < m; d++ {
@@ -365,7 +402,7 @@ func (s *searcher) prepareInto(p *prepState, ss *partition.Subspace) (skip bool,
 			cell := g.Cell(c.DS.Loc(int(ps)))
 			cd := simil.Cand{Pos: ps, Sim: sims[i]}
 			b := append(buckets[cell], cd)
-			if !s.opt.RandomSample && candBefore(cd, b[0]) {
+			if !s.opt.RandomSample && cd.Before(b[0]) {
 				b[0], b[len(b)-1] = cd, b[0]
 			}
 			buckets[cell] = b
@@ -425,9 +462,10 @@ func (s *searcher) sampleReachable(p *prepState) {
 	}
 }
 
-// selectTop returns b's first xi candidates under SortCandidates' order,
-// sorted, in b's storage: it sorts xi of them and then inserts each
-// later candidate that beats the last one kept. xi <= 0 keeps all.
+// selectTop returns b's first xi candidates in the candidate order
+// (simil.Cand.Before), sorted, in b's storage: it sorts xi of them and
+// then inserts each later candidate that beats the last one kept.
+// xi <= 0 keeps all.
 func selectTop(b []simil.Cand, xi int) []simil.Cand {
 	if xi <= 0 || len(b) <= xi {
 		simil.SortCandidates(b)
@@ -436,28 +474,16 @@ func selectTop(b []simil.Cand, xi int) []simil.Cand {
 	head := b[:xi]
 	simil.SortCandidates(head)
 	for _, cd := range b[xi:] {
-		if !candBefore(cd, head[xi-1]) {
+		if !cd.Before(head[xi-1]) {
 			continue
 		}
 		i := xi - 1
-		for ; i > 0 && candBefore(cd, head[i-1]); i-- {
+		for ; i > 0 && cd.Before(head[i-1]); i-- {
 			head[i] = head[i-1]
 		}
 		head[i] = cd
 	}
 	return head
-}
-
-// candBefore reports whether a precedes b in SortCandidates' order:
-// similarity descending, position ascending.
-func candBefore(a, b simil.Cand) bool {
-	switch {
-	case a.Sim > b.Sim:
-		return true
-	case a.Sim < b.Sim:
-		return false
-	}
-	return a.Pos < b.Pos
 }
 
 // sampleRandom is Point-Sample's RandomSample ablation (the Fig. 4
@@ -577,10 +603,6 @@ func (s *searcher) pointEnum() error {
 	c := s.sctx
 	m := c.M
 	s.delta.CellTuples++
-	if s.listsBuf == nil {
-		//lint:ignore hotpathalloc grow-once per-searcher buffer; reused across every cell tuple
-		s.listsBuf = make([][]simil.Cand, m)
-	}
 	lists := s.listsBuf
 	for d := 0; d < m; d++ {
 		lists[d] = s.buckets[d][s.cellTuple[d]]
@@ -589,7 +611,7 @@ func (s *searcher) pointEnum() error {
 		}
 		sims := s.simScratch[d][:0]
 		for _, cd := range lists[d] {
-			//lint:ignore hotpathalloc appends into the reused simScratch buffer; capacity is amortised across cell tuples
+			//lint:ignore hotpathalloc appends into the searcher's simScratch buffer, which the pool keeps across queries; capacity is amortised across cell tuples
 			sims = append(sims, cd.Sim)
 		}
 		s.simScratch[d] = sims

@@ -2,9 +2,11 @@ package lora
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"spatialseq/internal/dataset"
 	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/stats"
@@ -61,21 +63,31 @@ func TestMemoCountersAndDeterminism(t *testing.T) {
 	}
 }
 
-// End-to-end allocation profile of a full LORA search with reused scratch.
-func BenchmarkSearchAllocs(b *testing.B) {
+// allocQuery is the fixed 1,000-object query of BenchmarkSearchAllocs
+// and the allocation guard.
+func allocQuery(tb testing.TB) (*dataset.Dataset, *partition.Index, *query.Query) {
 	rng := rand.New(rand.NewSource(127))
 	ds := testutil.RandDataset(rng, 1000, 3, 4, 100)
-	ix := partition.NewIndex(ds)
 	params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
 	q := testutil.RandQuery(rng, ds, 3, 20, params)
 	if err := q.Validate(ds); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Search(context.Background(), ds, ix, q, Options{}); err != nil {
-			b.Fatal(err)
-		}
+	return ds, partition.NewIndex(ds), q
+}
+
+// End-to-end allocation profile of a full LORA search with pooled
+// state, sequential and on two workers (HSP's twin).
+func BenchmarkSearchAllocs(b *testing.B) {
+	ds, ix, q := allocQuery(b)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("parallelism=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Search(context.Background(), ds, ix, q, Options{Parallelism: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

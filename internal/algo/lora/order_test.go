@@ -40,7 +40,7 @@ func searchIndexOrder(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Opt
 	if opt.Parallelism > 1 {
 		sink = topk.NewConcurrent(q.Params.K)
 	}
-	_, err = sched.Run(len(work), sched.Bounds{}, opt.Parallelism, 1, opt.Steal, func() sched.Worker[prepState] {
+	_, err = sched.Run(new(sched.Pool[prepState]), len(work), sched.Bounds{}, opt.Parallelism, 1, opt.Steal, func() sched.Worker[prepState] {
 		return newSearcher(context.Background(), sctx, sink, q, ix, work, opt)
 	})
 	if err != nil {

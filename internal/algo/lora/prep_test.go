@@ -10,7 +10,6 @@ import (
 	"spatialseq/internal/algo/sched"
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
-	"spatialseq/internal/grid"
 	"spatialseq/internal/obs/span"
 	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
@@ -29,11 +28,10 @@ import (
 func (s *searcher) prepareFullSort(p *prepState, ss *partition.Subspace) (skip bool, err error) {
 	c := s.sctx
 	m := c.M
-	g, err := grid.New(ss.AC, s.q.Params.GridD)
-	if err != nil {
+	if err := p.g.Reset(ss.AC, s.q.Params.GridD); err != nil {
 		return false, err
 	}
-	p.g = g
+	g := &p.g
 	p.scored = 0
 	nc := g.NumCells()
 	if p.buckets == nil {
@@ -156,7 +154,7 @@ func searchFullSort(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Optio
 	ref := testutil.PrepReference{Plan: opt.Stats.Snapshot(), Subs: make([]stats.Snapshot, len(work))}
 	sink := topk.New(q.Params.K)
 	w := fullSortWorker{newSearcher(context.Background(), sctx, sink, q, ix, work, opt), ref.Subs}
-	cut, err := sched.Run(len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, 1, 1, sched.Tuning{},
+	cut, err := sched.Run(new(sched.Pool[prepState]), len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, 1, 1, sched.Tuning{},
 		func() sched.Worker[prepState] { return w })
 	if err != nil {
 		t.Fatal(err)

@@ -3,12 +3,16 @@ package sched
 import "sync"
 
 // Worker is one goroutine's searcher in a Run. P is the prepared state
-// of one subspace, which Run pools and hands from the worker that
-// prepared it to the workers that enumerate its chunks.
+// of one subspace: Run takes it from its States, hands it from the
+// worker that prepared it to the workers that enumerate its chunks, and
+// gives it back once the subspace's last chunk finishes, so a state
+// outlives its query and its buffers serve the next one.
 type Worker[P any] interface {
 	// Prep prepares subspace sub into p on worker lane w and returns its
 	// root count; 0 skips the subspace. Run calls it at most once per
-	// subspace. p may hold an earlier subspace's state to reuse.
+	// subspace. p may hold an earlier subspace's state, of this query or
+	// of an earlier one, with another tuple size: Prep sizes p to its
+	// query and rewrites everything Chunk reads.
 	Prep(p *P, w, sub int) (roots int, err error)
 	// Chunk enumerates the roots [lo, hi) of subspace sub, prepared in
 	// p, on worker lane w. Other workers may enumerate other chunks of
@@ -16,6 +20,32 @@ type Worker[P any] interface {
 	// what it writes with a lock of p's own.
 	Chunk(p *P, w, sub, lo, hi int) error
 }
+
+// States is where Run takes prepared states from and gives them back
+// to: a *Pool in the searches.
+type States[P any] interface {
+	Get() *P
+	Put(*P)
+}
+
+// Pool is a typed sync.Pool: Get returns a value an earlier Put gave
+// back, or a new zero one. A value belongs to whoever got it until it
+// is Put back, and nobody may touch it after that. Like sync.Pool it
+// keeps no value for good: whatever sits idle through two garbage
+// collections is dropped, so a burst of large queries does not pin its
+// buffers. The zero Pool is ready to use.
+type Pool[T any] struct{ p sync.Pool }
+
+// Get takes a value out of the pool, or makes a zero one.
+func (pl *Pool[T]) Get() *T {
+	if v, ok := pl.p.Get().(*T); ok {
+		return v
+	}
+	return new(T)
+}
+
+// Put gives v back to the pool.
+func (pl *Pool[T]) Put(v *T) { pl.p.Put(v) }
 
 // Bounds lets Run stop before the subspaces that cannot contribute.
 // Of[sub] is an upper bound on the similarity of every tuple subspace
@@ -38,11 +68,15 @@ func (b Bounds) stops(sub int) bool {
 // Run prepares each of the subspaces 0..numSub-1 at most once, in
 // index order, and enumerates every root of each prepared subspace
 // exactly once, on the given number of workers, each with its own
-// Worker from newWorker. It stops issuing preps at the first subspace
-// whose bound b rejects and returns how many subspaces it cut there:
-// they get no prep, no chunk and no scheduler round trip. The first
-// error aborts the run; Run returns it once every worker has exited.
-// minChunk floors the auto-sized chunks (see Tuning.ChunkSize).
+// Worker from newWorker. Run calls newWorker on the caller's goroutine,
+// once per worker, so the caller can collect the workers and release
+// them once Run returns. Run takes every prepared state from states
+// and gives each back before it returns, on success and on error
+// alike. It stops issuing preps at the first subspace whose bound b
+// rejects and returns how many subspaces it cut there: they get no
+// prep, no chunk and no scheduler round trip. The first error aborts
+// the run; Run returns it once every worker has exited. minChunk floors
+// the auto-sized chunks (see Tuning.ChunkSize).
 //
 // At one worker (or fewer) Run loops on the caller's goroutine instead:
 // it prepares the subspaces in order, reusing one prepared state, and
@@ -50,9 +84,10 @@ func (b Bounds) stops(sub int) bool {
 // A lone worker has nobody to steal from, and the Scheduler's lock
 // round-trips per unit measured about 10% slower on sequential HSP
 // queries with tens of thousands of subspaces.
-func Run[P any](numSub int, b Bounds, workers, minChunk int, tun Tuning, newWorker func() Worker[P]) (cut int, err error) {
+func Run[P any](states States[P], numSub int, b Bounds, workers, minChunk int, tun Tuning, newWorker func() Worker[P]) (cut int, err error) {
 	if workers <= 1 {
-		wk, p := newWorker(), new(P)
+		wk, p := newWorker(), states.Get()
+		defer states.Put(p)
 		for sub := 0; sub < numSub; sub++ {
 			if b.stops(sub) {
 				return numSub - sub, nil
@@ -67,35 +102,43 @@ func Run[P any](numSub int, b Bounds, workers, minChunk int, tun Tuning, newWork
 		}
 		return 0, nil
 	}
-	r := &run[P]{sch: New(numSub, workers, minChunk, tun), preps: make([]*P, numSub)}
+	r := &run[P]{sch: New(numSub, workers, minChunk, tun), states: states, preps: make([]*P, numSub)}
 	r.sch.bounds = b
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		wk := newWorker()
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			if err := r.work(newWorker(), w); err != nil {
+			if err := r.work(wk, w); err != nil {
 				r.errOnce.Do(func() { r.err = err })
 				r.sch.Abort()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
+	if r.err != nil {
+		// The abort dropped the unacquired chunks, so the states of
+		// their subspaces never saw their last Done.
+		for _, p := range r.preps {
+			if p != nil {
+				states.Put(p)
+			}
+		}
+	}
 	return r.sch.cut, r.err
 }
 
-// run is the shared state of one parallel Run: the scheduler, the
-// prepared-subspace handoff slots, and a recycling pool of prepared
-// states (bounded by the worker count, because the scheduler drains
-// queued chunks before starting new preps). preps[sub] is written by
-// the preparing worker before Publish and read by chunk workers after
-// Acquire; the scheduler's lock orders the two.
+// run is the shared state of one parallel Run: the scheduler, where
+// prepared states come from and go back to, and the prepared-subspace
+// handoff slots. At most about one state per worker is out at a time,
+// because the scheduler drains queued chunks before starting new preps.
+// preps[sub] is written by the preparing worker before Publish and read
+// by chunk workers after Acquire; the scheduler's lock orders the two.
 type run[P any] struct {
-	sch   *Scheduler
-	preps []*P
-
-	mu   sync.Mutex
-	pool []*P
+	sch    *Scheduler
+	states States[P]
+	preps  []*P
 
 	errOnce sync.Once
 	err     error
@@ -110,7 +153,7 @@ func (r *run[P]) work(wk Worker[P], w int) error {
 			return nil
 		}
 		if u.Prep {
-			p := r.take()
+			p := r.states.Get()
 			n, err := wk.Prep(p, w, u.Sub)
 			if err != nil {
 				n = 0
@@ -118,9 +161,9 @@ func (r *run[P]) work(wk Worker[P], w int) error {
 			r.preps[u.Sub] = p
 			if r.sch.Publish(u.Sub, n) == 0 {
 				// Skipped, failed, or aborted before any chunk was
-				// queued: no chunk will read p, so reclaim it here.
+				// queued: no chunk will read p, so give it back here.
 				r.preps[u.Sub] = nil
-				r.put(p)
+				r.states.Put(p)
 			}
 			if err != nil {
 				return err
@@ -131,27 +174,10 @@ func (r *run[P]) work(wk Worker[P], w int) error {
 		err := wk.Chunk(p, w, u.Sub, u.Lo, u.Hi)
 		if r.sch.Done(u.Sub) {
 			r.preps[u.Sub] = nil
-			r.put(p)
+			r.states.Put(p)
 		}
 		if err != nil {
 			return err
 		}
 	}
-}
-
-func (r *run[P]) take() *P {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := len(r.pool); n > 0 {
-		p := r.pool[n-1]
-		r.pool = r.pool[:n-1]
-		return p
-	}
-	return new(P)
-}
-
-func (r *run[P]) put(p *P) {
-	r.mu.Lock()
-	r.pool = append(r.pool, p)
-	r.mu.Unlock()
 }

@@ -5,9 +5,20 @@
 // Both algorithms search each core's ac-subspace independently under
 // Lemma 1's exactly-once rule, so they share one outer shape: prepare a
 // subspace once, then enumerate its dim-0 roots. An algorithm supplies
-// the two steps as a Worker; Run owns the rest — the prepared-state pool
-// and its handoff between workers, the worker goroutines, and the
-// first-error abort.
+// the two steps as a Worker; Run owns the rest — the prepared states'
+// handoff between workers, the worker goroutines, and the first-error
+// abort.
+//
+// A prepared state outlives its query. Run takes each from the caller's
+// States, in the searches a Pool that lives as long as the process, and
+// owns it from the Get to the Put: the preparing worker writes it, the
+// workers enumerating its chunks read it, and Run puts it back when the
+// subspace's last chunk finishes, when its prep finds nothing to
+// enumerate, and, on an error, once the workers have exited. The
+// searchers come from Pools too, which their algorithm releases once
+// Run returns. So a query regrows only what outgrows the buffers an
+// earlier query left; a Pool drops what sits idle through two garbage
+// collections, as sync.Pool does.
 //
 // The unit of parallel work is smaller than the subspace: a *(subspace,
 // dim-0 root range)* chunk. The pre-stealing parallel loops pulled whole

@@ -327,8 +327,36 @@ func (f *fakeRun) Chunk(p *fakeState, w, sub, lo, hi int) error {
 }
 
 func (f *fakeRun) run(workers int, tun Tuning) error {
-	_, err := Run(len(f.sizes), Bounds{}, workers, 1, tun, func() Worker[fakeState] { return f })
+	_, err := Run(new(Pool[fakeState]), len(f.sizes), Bounds{}, workers, 1, tun, func() Worker[fakeState] { return f })
 	return err
+}
+
+// countingStates is a States that hands out new fakeStates and records
+// which are out, so a test can see that Run gives back every state it
+// took, once.
+type countingStates struct {
+	t    *testing.T
+	mu   sync.Mutex
+	out  map[*fakeState]bool
+	gets int
+}
+
+func (c *countingStates) Get() *fakeState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := new(fakeState)
+	c.out[p] = true
+	c.gets++
+	return p
+}
+
+func (c *countingStates) Put(p *fakeState) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.out[p] {
+		c.t.Errorf("Run gave back a state it did not take, or gave it back twice")
+	}
+	delete(c.out, p)
 }
 
 // TestRun drives Run over skewed subspace sizes (under -race): every
@@ -399,7 +427,7 @@ func TestRunStopsAtFirstRejectedBound(t *testing.T) {
 		for _, limit := range []float64{100, 45, 1} {
 			f := newFakeRun(t, sizes, -1, -1)
 			b := Bounds{Of: bounds, Accept: func(v float64) bool { return v >= limit }}
-			cut, err := Run(len(sizes), b, workers, 1, Tuning{ChunkSize: 3}, func() Worker[fakeState] { return f })
+			cut, err := Run(new(Pool[fakeState]), len(sizes), b, workers, 1, Tuning{ChunkSize: 3}, func() Worker[fakeState] { return f })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -421,6 +449,52 @@ func TestRunStopsAtFirstRejectedBound(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunGivesStatesBack: every prepared state Run takes from its
+// States goes back exactly once before Run returns — after a run that
+// succeeds, one cut short by its bounds, one whose Prep fails and one
+// whose Chunk fails, which leaves chunks of other subspaces unacquired
+// — at one worker and at eight.
+func TestRunGivesStatesBack(t *testing.T) {
+	sizes := skewedSizes(50)
+	bounds := make([]float64, len(sizes))
+	for i := range bounds {
+		bounds[i] = float64(len(sizes) - i)
+	}
+	cases := []struct {
+		name              string
+		failPrep, failChk int
+		stopBelow         float64
+		want              error
+	}{
+		{"success", -1, -1, 0, nil},
+		{"bound stop", -1, -1, 30, nil},
+		{"prep error", 10, -1, 0, errPrep},
+		{"chunk error", -1, 12, 0, errChunk},
+	}
+	for _, workers := range []int{1, 8} {
+		for _, c := range cases {
+			f := newFakeRun(t, sizes, c.failPrep, c.failChk)
+			states := &countingStates{t: t, out: map[*fakeState]bool{}}
+			b := Bounds{Of: bounds, Accept: func(v float64) bool { return v >= c.stopBelow }}
+			_, err := Run[fakeState](states, len(sizes), b, workers, 1, Tuning{ChunkSize: 1}, func() Worker[fakeState] { return f })
+			if !errors.Is(err, c.want) {
+				t.Errorf("workers %d, %s: err %v, want %v", workers, c.name, err, c.want)
+			}
+			if states.gets == 0 || len(states.out) != 0 {
+				t.Errorf("workers %d, %s: took %d states, %d not given back", workers, c.name, states.gets, len(states.out))
+			}
+		}
+	}
+}
+
+// TestPoolGetIsZero: an empty Pool makes a zero value.
+func TestPoolGetIsZero(t *testing.T) {
+	var pl Pool[fakeState]
+	if p := pl.Get(); p == nil || *p != (fakeState{}) {
+		t.Fatalf("empty pool returned %v, want a zero state", p)
 	}
 }
 

@@ -18,21 +18,23 @@ type Grid struct {
 	cw, ch float64 // cell width / height
 }
 
-// New builds a grid with d cells per side over bounds. d must be >= 1 and
-// bounds must be non-empty.
-func New(bounds geo.Rect, d int) (*Grid, error) {
+// Reset makes g the grid with d cells per side over bounds, in place,
+// so one Grid can serve subspace after subspace. d must be >= 1 and
+// bounds must be non-empty; on an error g is unchanged.
+func (g *Grid) Reset(bounds geo.Rect, d int) error {
 	if d < 1 {
-		return nil, fmt.Errorf("grid: cells per side must be >= 1, got %d", d)
+		return fmt.Errorf("grid: cells per side must be >= 1, got %d", d)
 	}
 	if bounds.IsEmpty() {
-		return nil, fmt.Errorf("grid: empty bounds")
+		return fmt.Errorf("grid: empty bounds")
 	}
-	return &Grid{
+	*g = Grid{
 		bounds: bounds,
 		d:      d,
 		cw:     bounds.Width() / float64(d),
 		ch:     bounds.Height() / float64(d),
-	}, nil
+	}
+	return nil
 }
 
 // D returns the number of cells per side.

@@ -10,19 +10,26 @@ import (
 
 func mustGrid(t *testing.T, b geo.Rect, d int) *Grid {
 	t.Helper()
-	g, err := New(b, d)
-	if err != nil {
+	g := new(Grid)
+	if err := g.Reset(b, d); err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
+// TestNewValidation: Reset rejects a non-positive cell count and empty
+// bounds, and leaves the grid as it was.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 0); err == nil {
+	g := mustGrid(t, geo.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 2}, 2)
+	want := *g
+	if err := g.Reset(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 0); err == nil {
 		t.Error("d=0 should fail")
 	}
-	if _, err := New(geo.EmptyRect(), 3); err == nil {
+	if err := g.Reset(geo.EmptyRect(), 3); err == nil {
 		t.Error("empty bounds should fail")
+	}
+	if *g != want {
+		t.Errorf("a failed Reset changed the grid to %+v, want %+v", *g, want)
 	}
 }
 

@@ -167,18 +167,36 @@ func order(pts []pathPoint, rect geo.Rect, level int) {
 // halves splits rect at level, on the x axis at even levels and the y
 // axis at odd ones. A point whose coordinate is <= mid lies in the low
 // half, whose rectangle ends on the midpoint; the high half starts one
-// ulp past it.
+// ulp past it (nextUp).
 func halves(rect geo.Rect, level int) (low, high geo.Rect, mid float64, onX bool) {
 	low, high = rect, rect
 	if level%2 == 0 { // split the horizontal dimension (vertical cut line)
 		mid = (rect.MinX + rect.MaxX) / 2
-		low.MaxX, high.MinX = mid, math.Nextafter(mid, math.Inf(1))
+		low.MaxX, high.MinX = mid, nextUp(mid)
 		return low, high, mid, true
 	}
 	// split the vertical dimension (horizontal cut line)
 	mid = (rect.MinY + rect.MaxY) / 2
-	low.MaxY, high.MinY = mid, math.Nextafter(mid, math.Inf(1))
+	low.MaxY, high.MinY = mid, nextUp(mid)
 	return low, high, mid, false
+}
+
+// nextUp returns the least float64 above x, bit for bit what
+// math.Nextafter(x, math.Inf(1)) returns, but small enough to inline
+// into the tree walks, which split a rectangle at every node: +0 and -0
+// step to the least subnormal, a finite value one step of its bit
+// pattern away from zero if positive and toward it if negative, and +Inf
+// and NaN stay.
+func nextUp(x float64) float64 {
+	switch {
+	case x == 0:
+		return math.Float64frombits(1)
+	case x < 0:
+		return math.Float64frombits(math.Float64bits(x) - 1)
+	case x <= math.MaxFloat64:
+		return math.Float64frombits(math.Float64bits(x) + 1)
+	}
+	return x
 }
 
 // degenerate guards against rectangles too small to split further (all

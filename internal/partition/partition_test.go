@@ -232,3 +232,23 @@ func TestPartitionCountGrowsAsRadiusShrinks(t *testing.T) {
 		prev = len(p.Subspaces)
 	}
 }
+
+// TestNextUpMatchesNextafter pins nextUp to math.Nextafter(x, +Inf) bit
+// for bit: over random bit patterns (all exponents, both signs), ±0,
+// subnormals, the normal boundary, negatives, ±MaxFloat64, ±Inf and
+// NaN.
+func TestNextUpMatchesNextafter(t *testing.T) {
+	xs := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000FFFFFFFFFFFFF), -math.Float64frombits(0x000FFFFFFFFFFFFF),
+		0x1p-1022, -0x1p-1022, 1, -1, 0.5, -0.5, 100, -100,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(61))
+	for i := 0; i < 100000; i++ {
+		xs = append(xs, math.Float64frombits(rng.Uint64()), (rng.Float64()-0.5)*1e6)
+	}
+	for _, x := range xs {
+		if got, want := nextUp(x), math.Nextafter(x, math.Inf(1)); math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("nextUp(%v) = %v (%#x), Nextafter gives %v (%#x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}

@@ -17,8 +17,15 @@ const maxBoundCells = 256
 // attribute similarity of the dimension's category objects in each cell
 // of a grid over the partitioned space.
 type boundGrid struct {
-	g     *grid.Grid
-	cells [][]float64 // [dim][cell], -Inf where no object lies; nil for a pinned dimension
+	g     grid.Grid
+	cells [][]float64 // [dim][cell], -Inf where no object lies; empty for a pinned dimension
+}
+
+// ranked is a subspace of the plan, by its index in work, with its
+// bound.
+type ranked struct {
+	bound float64
+	i     int
 }
 
 // OrderByBound bounds every subspace of work before anything is
@@ -47,23 +54,21 @@ func (c *Context) OrderByBound(part *partition.Partition, work []*partition.Subs
 	if err != nil {
 		return nil, nil, err
 	}
-	type ranked struct {
-		bound float64
-		i     int
-	}
-	rs := make([]ranked, 0, len(work))
+	rs := c.bufs.ranked[:0]
 	for i, ss := range work {
 		if b := bg.bound(c, ss.Core, ss.AC); !math.IsInf(b, -1) {
 			rs = append(rs, ranked{b, i})
 		}
 	}
+	c.bufs.ranked = rs
 	slices.SortFunc(rs, func(a, b ranked) int {
 		if c := cmp.Compare(b.bound, a.bound); c != 0 {
 			return c
 		}
 		return a.i - b.i
 	})
-	kept, bounds := make([]*partition.Subspace, len(rs)), make([]float64, len(rs))
+	c.bufs.kept, c.bufs.bounds = resize(c.bufs.kept, len(rs)), resize(c.bufs.bounds, len(rs))
+	kept, bounds := c.bufs.kept, c.bufs.bounds
 	for i, r := range rs {
 		kept[i], bounds[i] = work[r.i], r.bound
 	}
@@ -88,22 +93,23 @@ func (c *Context) newBoundGrid(bounds geo.Rect, radius float64) (*boundGrid, err
 	if n := min(math.Ceil(max(bounds.Width(), bounds.Height())/(radius/2)), math.Ceil(math.Sqrt(float64(pop))), maxBoundCells); n > 1 {
 		d = int(n)
 	}
-	g, err := grid.New(bounds, d)
-	if err != nil {
+	bg := &c.bufs.bound
+	if err := bg.g.Reset(bounds, d); err != nil {
 		return nil, err
 	}
-	bg := &boundGrid{g: g, cells: make([][]float64, c.M)}
+	bg.cells = resize(bg.cells, c.M)
 	for dim := 0; dim < c.M; dim++ {
 		if c.Ex.FixedDim(dim) >= 0 {
+			bg.cells[dim] = bg.cells[dim][:0]
 			continue
 		}
-		cells := make([]float64, g.NumCells())
+		cells := resize(bg.cells[dim], bg.g.NumCells())
 		for i := range cells {
 			cells[i] = math.Inf(-1)
 		}
 		memo := c.memo[c.memoOff[dim]:c.memoOff[dim+1]]
 		for r, pos := range c.DS.CategoryObjects(c.Ex.Categories[dim]) {
-			if cell := g.Cell(c.DS.Loc(int(pos))); memo[r] > cells[cell] {
+			if cell := bg.g.Cell(c.DS.Loc(int(pos))); memo[r] > cells[cell] {
 				cells[cell] = memo[r]
 			}
 		}

@@ -11,17 +11,24 @@ type Cand struct {
 	Sim float64
 }
 
-// SortCandidates orders cands by similarity descending, position ascending.
+// Before reports whether a precedes b in the candidate order: similarity
+// descending, then position ascending. It is the one order every
+// candidate list is sorted in (SortCandidates, HSP's head order, LORA's
+// buckets), and small enough to inline.
+func (a Cand) Before(b Cand) bool {
+	if a.Sim > b.Sim {
+		return true
+	}
+	return !(a.Sim < b.Sim) && a.Pos < b.Pos
+}
+
+// SortCandidates sorts cands in the candidate order (Cand.Before).
 func SortCandidates(cands []Cand) {
 	slices.SortFunc(cands, func(a, b Cand) int {
 		switch {
-		case a.Sim > b.Sim:
+		case a.Before(b):
 			return -1
-		case a.Sim < b.Sim:
-			return 1
-		case a.Pos < b.Pos:
-			return -1
-		case a.Pos > b.Pos:
+		case b.Before(a):
 			return 1
 		default:
 			return 0

@@ -43,7 +43,7 @@ func (c *Context) Plan(ix *partition.Index, ps PlanSpec) ([]*partition.Subspace,
 		return nil, nil, err
 	}
 	fixed0 := c.Ex.FixedDim(0)
-	work := make([]*partition.Subspace, 0, len(part.Subspaces))
+	work := c.bufs.work[:0]
 	for si := range part.Subspaces {
 		ss := &part.Subspaces[si]
 		if fixed0 >= 0 && !ss.Core.Contains(c.DS.Loc(int(fixed0))) {
@@ -51,6 +51,7 @@ func (c *Context) Plan(ix *partition.Index, ps PlanSpec) ([]*partition.Subspace,
 		}
 		work = append(work, ss)
 	}
+	c.bufs.work = work
 	if len(work) <= 1 {
 		return work, nil, nil
 	}

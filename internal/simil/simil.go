@@ -5,14 +5,18 @@
 //
 // A Context is built once per query and then shared read-only by the
 // enumeration; the scratch buffers needed during DFS live in a separate
-// per-goroutine Scratch value.
+// per-goroutine Scratch value. A search that Releases its Context when
+// it is done lets the next query's NewContext reuse its tables.
 package simil
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
+	"spatialseq/internal/partition"
 	"spatialseq/internal/query"
 	"spatialseq/internal/vectormath"
 )
@@ -59,7 +63,30 @@ type Context struct {
 	// is read-only once filled, safe to share across subspace workers.
 	memo    []float64
 	memoOff []int
+
+	// bufs are the tables the Context reuses from an earlier query's.
+	bufs contextBufs
 }
+
+// contextBufs are the buffers a released Context keeps for the next
+// query: the example's vectors, the memo, the bound pass's grid and
+// cell tables, and the plan's order arrays. Release clears the
+// subspace pointers, so they hold nothing of a query, a dataset or a
+// partition while they wait in contexts. Every one is rewritten before
+// it is read.
+type contextBufs struct {
+	x, xn, suffix, exNorms []float64
+	active                 []bool
+	memo                   []float64
+	memoOff                []int
+	bound                  boundGrid
+	work, kept             []*partition.Subspace
+	bounds                 []float64
+	ranked                 []ranked
+}
+
+// contexts holds released Contexts for NewContext to reuse.
+var contexts sync.Pool
 
 // Dist measures the distance between two locations under the query metric.
 //
@@ -72,57 +99,73 @@ func (c *Context) Dist(a, b geo.Point) float64 {
 }
 
 // NewContext prepares the similarity state for q against ds. The query must
-// already be validated.
+// already be validated. It reuses the tables of a Context an earlier
+// query Released, when there is one.
 func NewContext(ds *dataset.Dataset, q *query.Query) *Context {
+	c, _ := contexts.Get().(*Context)
+	if c == nil {
+		c = new(Context)
+	}
+	b := &c.bufs
 	ex := &q.Example
 	m := ex.M()
-	var active []bool
-	diam := 1
+	c.DS, c.Ex, c.Alpha, c.Beta, c.M, c.Metric = ds, ex, q.Params.Alpha, q.EffectiveBeta(), m, ex.Metric
+	c.GraphDiam = 1
 	if len(ex.SkipPairs) > 0 {
-		active = make([]bool, geo.PairCount(m))
+		b.active = resize(b.active, geo.PairCount(m))
+		c.Active = b.active
 		for j := 1; j < m; j++ {
 			for i := 0; i < j; i++ {
-				active[geo.PairIndex(i, j)] = ex.PairActive(i, j)
+				c.Active[geo.PairIndex(i, j)] = ex.PairActive(i, j)
 			}
 		}
 		if d, connected := ex.PairGraphDiameter(); connected {
-			diam = d
+			c.GraphDiam = d
 		} else {
-			diam = 0 // only meaningful with beta = +Inf (validated upstream)
+			c.GraphDiam = 0 // only meaningful with beta = +Inf (validated upstream)
 		}
 	}
-	x := ex.DistVector()
+	// Under the example's own mask and metric, as Example.DistVector.
+	b.x = c.DistVectorOf(ex.Locations, b.x)
+	x := b.x
 	norm := geo.Norm(x)
-	xn := make([]float64, len(x))
+	b.xn = resize(b.xn, len(x))
+	xn := b.xn
+	clear(xn)
 	if norm > 0 {
 		for i, v := range x {
 			xn[i] = v / norm
 		}
 	}
-	suffix := make([]float64, len(x)+1)
+	b.suffix = resize(b.suffix, len(x)+1)
+	suffix := b.suffix
+	suffix[len(x)] = 0
 	for j := len(x) - 1; j >= 0; j-- {
 		suffix[j] = suffix[j+1] + xn[j]*xn[j]
 	}
-	exNorms := make([]float64, m)
+	b.exNorms = resize(b.exNorms, m)
 	for d, a := range ex.Attrs {
-		exNorms[d] = vectormath.Norm(a)
+		b.exNorms[d] = vectormath.Norm(a)
 	}
-	return &Context{
-		DS:        ds,
-		Ex:        ex,
-		Alpha:     q.Params.Alpha,
-		Beta:      q.EffectiveBeta(),
-		M:         m,
-		Pairs:     len(x),
-		X:         x,
-		XNormed:   xn,
-		Norm:      norm,
-		SuffixSq:  suffix,
-		Active:    active,
-		GraphDiam: diam,
-		Metric:    ex.Metric,
-		exNorms:   exNorms,
-	}
+	c.Pairs, c.X, c.XNormed, c.Norm, c.SuffixSq, c.exNorms = len(x), x, xn, norm, suffix, b.exNorms
+	return c
+}
+
+// Release gives the Context's tables back for a later NewContext to
+// reuse. Neither the Context nor any slice its Plan or OrderByBound
+// returned may be used after it, and a Context must be released at
+// most once; one that is never released is simply collected.
+func (c *Context) Release() {
+	clear(c.bufs.work)
+	clear(c.bufs.kept)
+	*c = Context{bufs: c.bufs}
+	contexts.Put(c)
+}
+
+// resize returns s with length n, reallocating it when its capacity is
+// short. The elements it keeps are stale: the caller rewrites them.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // PartitionRadius returns the spatial containment radius for the
@@ -228,11 +271,16 @@ func (c *Context) PrepareMemoShared() int64 {
 	if c.memo != nil {
 		return 0
 	}
-	c.memoOff = make([]int, c.M+1)
+	c.bufs.memoOff = resize(c.bufs.memoOff, c.M+1)
+	c.memoOff = c.bufs.memoOff
+	c.memoOff[0] = 0
 	for d := 0; d < c.M; d++ {
 		c.memoOff[d+1] = c.memoOff[d] + len(c.DS.CategoryObjects(c.Ex.Categories[d]))
 	}
-	c.memo = make([]float64, c.memoOff[c.M])
+	// One spare element keeps a filled memo non-nil even when it is
+	// empty (MemoShared).
+	c.bufs.memo = resize(c.bufs.memo, c.memoOff[c.M]+1)
+	c.memo = c.bufs.memo[:c.memoOff[c.M]]
 	var computed int64
 	for d := 0; d < c.M; d++ {
 		seg := c.memo[c.memoOff[d]:c.memoOff[d+1]]
@@ -306,10 +354,20 @@ func NewScratch(m int) *Scratch {
 
 // NewScratch returns a scratch wired to this query's pair mask and metric.
 func (c *Context) NewScratch() *Scratch {
-	s := NewScratch(c.M)
-	s.active = c.Active
-	s.metric = c.Metric
+	s := new(Scratch)
+	c.ResetScratch(s)
 	return s
+}
+
+// ResetScratch readies s for this query: empty, with room for the
+// query's tuples, and wired to its pair mask and metric. It reuses s's
+// buffers, so one Scratch serves query after query. The zero Scratch is
+// a valid s.
+func (c *Context) ResetScratch(s *Scratch) {
+	s.Y = slices.Grow(s.Y[:0], geo.PairCount(c.M))
+	s.Locs = slices.Grow(s.Locs[:0], c.M)
+	s.AttrSims = slices.Grow(s.AttrSims[:0], c.M)
+	s.active, s.metric = c.Active, c.Metric
 }
 
 // Push extends the prefix with an object location, appending its distances
@@ -328,13 +386,13 @@ func (s *Scratch) Push(loc geo.Point, attrSim float64) int {
 		if s.metric != nil {
 			d = s.metric.Dist(p, loc)
 		}
-		//lint:ignore hotpathalloc appends into NewScratch's PairCount(m)-capacity buffer; never grows
+		//lint:ignore hotpathalloc appends into the PairCount(m)-capacity buffer NewScratch or ResetScratch sized; never grows
 		s.Y = append(s.Y, d)
 		added++
 	}
-	//lint:ignore hotpathalloc appends into NewScratch's m-capacity buffer; never grows
+	//lint:ignore hotpathalloc appends into the m-capacity buffer NewScratch or ResetScratch sized; never grows
 	s.Locs = append(s.Locs, loc)
-	//lint:ignore hotpathalloc appends into NewScratch's m-capacity buffer; never grows
+	//lint:ignore hotpathalloc appends into the m-capacity buffer NewScratch or ResetScratch sized; never grows
 	s.AttrSims = append(s.AttrSims, attrSim)
 	return added
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 
 	"spatialseq/internal/dataset"
 	"spatialseq/internal/geo"
@@ -352,4 +353,40 @@ func isqrt(n int) int {
 		r++
 	}
 	return r
+}
+
+// ReuseQueries returns one dataset and the queries the searches' reuse
+// tests run, in order, through their pools: tuple sizes 2, 5, 3 and 4,
+// so a pooled state grows, shrinks and grows again, with LORA grids of
+// 4, 2, 3 and 2 cells a side and samples of 10, 2, 10 and 5 points a
+// bucket, then a query of size 3 with its middle dimension pinned. Each
+// search adds its own option variants.
+func ReuseQueries() (*dataset.Dataset, []*query.Query) {
+	rng := rand.New(rand.NewSource(170))
+	ds := RandDataset(rng, 300, 3, 4, 100)
+	params := query.Params{K: 5, Alpha: 0.5, Beta: 1.5, GridD: 4, Xi: 10}
+	var qs []*query.Query
+	for i, m := range []int{2, 5, 3, 4} {
+		params.GridD, params.Xi = []int{4, 2, 3, 2}[i], []int{10, 2, 10, 5}[i]
+		qs = append(qs, RandQuery(rng, ds, m, 20, params))
+	}
+	params.GridD, params.Xi = 4, 10
+	pinned := RandQuery(rng, ds, 3, 20, params)
+	PinDims(rng, ds, pinned, 1)
+	qs = append(qs, pinned)
+	for _, q := range qs {
+		if err := q.Validate(ds); err != nil {
+			//lint:ignore panicfree test-support package: known-good configs, and tests want the crash
+			panic(err)
+		}
+	}
+	return ds, qs
+}
+
+// EmptyPools runs two garbage collections, which empty every sync.Pool:
+// the next search starts from new prepared states, searchers and
+// similarity contexts, as the first query of a process does.
+func EmptyPools() {
+	runtime.GC()
+	runtime.GC()
 }
