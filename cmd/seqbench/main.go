@@ -37,7 +37,6 @@ import (
 
 	"spatialseq/internal/bench"
 	"spatialseq/internal/eval"
-	"spatialseq/internal/userstudy"
 )
 
 func main() {
@@ -119,9 +118,6 @@ func experiments() []experiment {
 			return eval.AblationSampling(ctx, w, eval.Gaode, firstOf(cfg.Sizes), cfg, []int{1, 5, 10, 50})
 		}},
 		{"ablation-cellnorm", "A3: LORA cell norm filter", single(eval.AblationCellNorm)},
-		{"userstudy", "Section IV-C simulated survey", func(ctx context.Context, w io.Writer, cfg eval.Config) error {
-			return userstudy.Simulate(cfg.Seed).Report(w)
-		}},
 		{"replay", "re-run a flight-recorder capture (-capture); work counters must match", func(ctx context.Context, w io.Writer, cfg eval.Config) error {
 			return eval.Replay(ctx, w, cfg)
 		}},

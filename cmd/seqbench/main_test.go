@@ -17,7 +17,7 @@ func TestListExperiments(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{"table2-yelp", "table2-gaode", "table3", "fig9-d", "fig9-alpha",
 		"fig9-beta", "fig9-scale", "fig10", "fig11", "ablation-partition", "ablation-sampling",
-		"ablation-cellnorm", "ablation-bounds", "userstudy"} {
+		"ablation-cellnorm", "ablation-bounds", "fig9-m"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("experiment list missing %q", want)
 		}
@@ -44,19 +44,9 @@ func TestUnknownExperiment(t *testing.T) {
 func TestBadSizes(t *testing.T) {
 	for _, sizes := range []string{"a,b", "-5", ""} {
 		var sb strings.Builder
-		if err := run([]string{"-exp", "userstudy", "-sizes", sizes}, &sb); err == nil {
+		if err := run([]string{"-exp", "table3", "-sizes", sizes}, &sb); err == nil {
 			t.Errorf("sizes %q should fail", sizes)
 		}
-	}
-}
-
-func TestUserStudyExperiment(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-exp", "userstudy"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "SIMULATED") {
-		t.Error("userstudy output missing the simulation marker")
 	}
 }
 
@@ -158,7 +148,7 @@ func TestSelectExperiments(t *testing.T) {
 
 func TestMultiExpUnknownFails(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-exp", "userstudy,zzz"}, &sb); err == nil {
+	if err := run([]string{"-exp", "table3,zzz"}, &sb); err == nil {
 		t.Error("unknown experiment in a comma list should fail")
 	}
 }

@@ -27,7 +27,6 @@ package hsp
 import (
 	"context"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -56,17 +55,17 @@ type Options struct {
 	// bound or stop: the A4 ablation, which therefore measures the
 	// refined bounds and the best-first stop together.
 	LooseBounds bool
-	// Parallelism spreads the search over this many goroutines sharing
+	// Parallelism spreads the search over this many workers sharing
 	// one concurrent top-k (exactness is unaffected: a stale pruning
 	// threshold only admits extra candidates, and the tie-break is
 	// order-independent). The unit of parallel work is smaller than a
 	// subspace: prepared subspaces are split into dim-0 candidate chunks
 	// workers steal from a shared scheduler, so one fat subspace no
-	// longer caps speedup. <= 1 searches sequentially; negative uses
-	// GOMAXPROCS.
+	// longer caps speedup. <= 1 runs one worker, on the calling
+	// goroutine; negative uses GOMAXPROCS.
 	Parallelism int
-	// Steal sizes the stolen dim-0 chunks of the parallel path (see
-	// sched.Tuning). The zero value auto-sizes.
+	// Steal sizes the stolen dim-0 chunks when more than one worker
+	// runs (see sched.Tuning). The zero value auto-sizes.
 	Steal sched.Tuning
 	// Stats, when non-nil, collects per-search counters (subspaces,
 	// candidates, pruned prefixes, scored tuples).
@@ -94,16 +93,7 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	}
 	sctx := simil.NewContext(ds, q)
 	defer sctx.Release()
-	workers := opt.Parallelism
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var sink topk.ResultSink
-	if workers > 1 {
-		sink = topk.NewConcurrent(q.Params.K)
-	} else {
-		sink = topk.New(q.Params.K)
-	}
+	sink := topk.NewConcurrent(q.Params.K)
 	work, bounds, err := plan(sctx, ix, opt)
 	if err != nil {
 		return nil, err
@@ -115,7 +105,7 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	// can be collected here and released once it returns.
 	var made [2]*searcher
 	wks := made[:0]
-	cut, err := sched.Run(&states, len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, workers, hspMinChunk, opt.Steal, func() sched.Worker[prepState] {
+	cut, err := sched.Run(&states, len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, opt.Parallelism, hspMinChunk, opt.Steal, func() sched.Worker[prepState] {
 		s := newSearcher(ctx, sctx, sink, q, ix, work, opt)
 		wks = append(wks, s)
 		return s
@@ -160,7 +150,7 @@ var (
 
 // newSearcher takes a searcher from searchers and readies it for one
 // query's search; release gives it back.
-func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, ix *partition.Index, work []*partition.Subspace, opt Options) *searcher {
+func newSearcher(ctx context.Context, sctx *simil.Context, sink *topk.Concurrent, q *query.Query, ix *partition.Index, work []*partition.Subspace, opt Options) *searcher {
 	s := searchers.Get()
 	s.ctx, s.sctx, s.heap, s.q, s.ix, s.work = ctx, sctx, sink, q, ix, work
 	s.span, s.loose, s.st = opt.Span, opt.LooseBounds, opt.Stats
@@ -254,7 +244,7 @@ func (p *prepState) size(m int) {
 type searcher struct {
 	ctx     context.Context
 	sctx    *simil.Context
-	heap    topk.Sink
+	heap    *topk.Concurrent
 	q       *query.Query
 	ix      *partition.Index
 	work    []*partition.Subspace

@@ -36,7 +36,7 @@ func searchSequential(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Opt
 		t.Fatal(err)
 	}
 	ref := testutil.PrepReference{Plan: opt.Stats.Snapshot(), Subs: make([]stats.Snapshot, len(work))}
-	heap := topk.New(q.Params.K)
+	heap := topk.NewConcurrent(q.Params.K)
 	w := &refWorker{s: newSearcher(context.Background(), sctx, heap, q, ix, nil, opt), work: work, prep: prep, enum: enum, subs: ref.Subs}
 	cut, err := sched.Run(new(sched.Pool[prepState]), len(work), sched.Bounds{Of: bounds, Accept: heap.WouldAccept}, 1, hspMinChunk, sched.Tuning{},
 		func() sched.Worker[prepState] { return w })

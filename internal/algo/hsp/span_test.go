@@ -154,7 +154,7 @@ func checkSpanTimeline(t *testing.T, ds *dataset.Dataset, ix *partition.Index, q
 	}
 }
 
-// TestSpanSequentialLane: the sequential path still records a single
+// TestSpanSequentialLane: a one-worker search records a single
 // worker-0 lane so timelines and skew reports have a uniform shape.
 func TestSpanSequentialLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(212))

@@ -71,7 +71,7 @@ func searchPerCandidate(t *testing.T, ds *dataset.Dataset, q *query.Query, opt O
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap := topk.New(q.Params.K)
+	heap := topk.NewConcurrent(q.Params.K)
 	s := newSearcher(context.Background(), sctx, heap, q, ix, work, opt)
 	if _, err := sched.Run(new(sched.Pool[prepState]), len(work), sched.Bounds{Of: bounds, Accept: heap.WouldAccept}, 1, 1, sched.Tuning{},
 		func() sched.Worker[prepState] { return perCandidateWorker{s} }); err != nil {

@@ -27,7 +27,6 @@ package lora
 import (
 	"context"
 	"math"
-	"runtime"
 	"slices"
 
 	"spatialseq/internal/algo/sched"
@@ -54,17 +53,17 @@ type Options struct {
 	// using min/max inter-cell distances (A3 ablation; off in the
 	// paper's plain LORA).
 	PruneCellNorm bool
-	// Parallelism spreads the search over this many goroutines sharing
+	// Parallelism spreads the search over this many workers sharing
 	// one concurrent top-k. A stale pruning threshold only admits extra
 	// candidates, so parallel LORA's results are never worse than
 	// sequential LORA's — but the exact result set can vary between
 	// runs. The unit of parallel work is smaller than a subspace:
 	// prepared subspaces are split into chunks of their root cell list
-	// that workers steal from a shared scheduler. <= 1 searches
-	// sequentially; negative uses GOMAXPROCS.
+	// that workers steal from a shared scheduler. <= 1 runs one worker,
+	// on the calling goroutine; negative uses GOMAXPROCS.
 	Parallelism int
-	// Steal sizes the stolen root-cell chunks of the parallel path (see
-	// sched.Tuning). The zero value auto-sizes.
+	// Steal sizes the stolen root-cell chunks when more than one worker
+	// runs (see sched.Tuning). The zero value auto-sizes.
 	Steal sched.Tuning
 	// Stats, when non-nil, collects per-search counters (subspaces,
 	// cell tuples, rank-graph pops, sampling discards).
@@ -92,16 +91,7 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	}
 	sctx := simil.NewContext(ds, q)
 	defer sctx.Release()
-	workers := opt.Parallelism
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var sink topk.ResultSink
-	if workers > 1 {
-		sink = topk.NewConcurrent(q.Params.K)
-	} else {
-		sink = topk.New(q.Params.K)
-	}
+	sink := topk.NewConcurrent(q.Params.K)
 	work, bounds, err := plan(sctx, ix, opt)
 	if err != nil {
 		return nil, err
@@ -112,7 +102,7 @@ func Search(ctx context.Context, ds *dataset.Dataset, ix *partition.Index, q *qu
 	// and released once it returns.
 	var made [2]*searcher
 	wks := made[:0]
-	cut, err := sched.Run(&states, len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, workers, 1, opt.Steal, func() sched.Worker[prepState] {
+	cut, err := sched.Run(&states, len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, opt.Parallelism, 1, opt.Steal, func() sched.Worker[prepState] {
 		s := newSearcher(ctx, sctx, sink, q, ix, work, opt)
 		wks = append(wks, s)
 		return s
@@ -153,7 +143,7 @@ var (
 // newSearcher takes a searcher from searchers and readies it for one
 // query's search, its tuple-sized scratch sized to the query's m;
 // release gives it back.
-func newSearcher(ctx context.Context, sctx *simil.Context, sink topk.Sink, q *query.Query, ix *partition.Index, work []*partition.Subspace, opt Options) *searcher {
+func newSearcher(ctx context.Context, sctx *simil.Context, sink *topk.Concurrent, q *query.Query, ix *partition.Index, work []*partition.Subspace, opt Options) *searcher {
 	s := searchers.Get()
 	s.ctx, s.sctx, s.heap, s.q, s.ix, s.work, s.opt, s.st = ctx, sctx, sink, q, ix, work, opt, opt.Stats
 	m := sctx.M
@@ -223,7 +213,7 @@ func (p *prepState) size(m, nc int) {
 type searcher struct {
 	ctx  context.Context
 	sctx *simil.Context
-	heap topk.Sink
+	heap *topk.Concurrent
 	q    *query.Query
 	ix   *partition.Index
 	work []*partition.Subspace

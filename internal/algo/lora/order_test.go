@@ -36,10 +36,7 @@ func searchIndexOrder(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Opt
 	for i := 0; i < len(planned) && i < len(work); i++ {
 		reordered = reordered || planned[i].Core != work[i].Core
 	}
-	var sink topk.ResultSink = topk.New(q.Params.K)
-	if opt.Parallelism > 1 {
-		sink = topk.NewConcurrent(q.Params.K)
-	}
+	sink := topk.NewConcurrent(q.Params.K)
 	_, err = sched.Run(new(sched.Pool[prepState]), len(work), sched.Bounds{}, opt.Parallelism, 1, opt.Steal, func() sched.Worker[prepState] {
 		return newSearcher(context.Background(), sctx, sink, q, ix, work, opt)
 	})

@@ -152,7 +152,7 @@ func searchFullSort(t *testing.T, ds *dataset.Dataset, q *query.Query, opt Optio
 		t.Fatal(err)
 	}
 	ref := testutil.PrepReference{Plan: opt.Stats.Snapshot(), Subs: make([]stats.Snapshot, len(work))}
-	sink := topk.New(q.Params.K)
+	sink := topk.NewConcurrent(q.Params.K)
 	w := fullSortWorker{newSearcher(context.Background(), sctx, sink, q, ix, work, opt), ref.Subs}
 	cut, err := sched.Run(new(sched.Pool[prepState]), len(work), sched.Bounds{Of: bounds, Accept: sink.WouldAccept}, 1, 1, sched.Tuning{},
 		func() sched.Worker[prepState] { return w })
@@ -330,7 +330,7 @@ func (pr *prepProbe) run(t *testing.T, c testutil.ShapedQuery) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, p := newSearcher(context.Background(), sctx, topk.New(c.Q.Params.K), c.Q, ix, nil, Options{}), new(prepState)
+	s, p := newSearcher(context.Background(), sctx, topk.NewConcurrent(c.Q.Params.K), c.Q, ix, nil, Options{}), new(prepState)
 	for i := range part.Subspaces {
 		scored := s.delta.Candidates
 		skip, err := s.prepareInto(p, &part.Subspaces[i])

@@ -120,10 +120,11 @@ func TestReleaseDropsTheQuery(t *testing.T) {
 }
 
 // TestSearchAllocsSteadyState guards the pooled search's allocations:
-// once the pools are warm, a sequential search allocates only its sink,
-// its results and the sink's tuple keys (96 allocations on this query;
-// before the pools, 477). The race detector's sync.Pool drops a share
-// of what is put back, so it skips there.
+// once the pools are warm, a one-worker search allocates only its sink,
+// its results, the sink's tuple keys and the driver's run state, its
+// scheduler and handoff arrays (100 allocations on this query; before
+// the pools, 477). The race detector's sync.Pool drops a share of
+// what is put back, so it skips there.
 func TestSearchAllocsSteadyState(t *testing.T) {
 	if testutil.Race {
 		t.Skip("sync.Pool drops pooled values at random under the race detector")

@@ -1,6 +1,9 @@
 package sched
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
 
 // Worker is one goroutine's searcher in a Run. P is the prepared state
 // of one subspace: Run takes it from its States, hands it from the
@@ -67,56 +70,38 @@ func (b Bounds) stops(sub int) bool {
 
 // Run prepares each of the subspaces 0..numSub-1 at most once, in
 // index order, and enumerates every root of each prepared subspace
-// exactly once, on the given number of workers, each with its own
-// Worker from newWorker. Run calls newWorker on the caller's goroutine,
-// once per worker, so the caller can collect the workers and release
-// them once Run returns. Run takes every prepared state from states
-// and gives each back before it returns, on success and on error
-// alike. It stops issuing preps at the first subspace whose bound b
-// rejects and returns how many subspaces it cut there: they get no
-// prep, no chunk and no scheduler round trip. The first error aborts
-// the run; Run returns it once every worker has exited. minChunk floors
-// the auto-sized chunks (see Tuning.ChunkSize).
-//
-// At one worker (or fewer) Run loops on the caller's goroutine instead:
-// it prepares the subspaces in order, reusing one prepared state, and
-// enumerates each non-empty one as the single chunk [0, n) on lane 0.
-// A lone worker has nobody to steal from, and the Scheduler's lock
-// round-trips per unit measured about 10% slower on sequential HSP
-// queries with tens of thousands of subspaces.
+// exactly once, on the given number of workers (fewer than one means
+// one, negative GOMAXPROCS), each with its own Worker from newWorker.
+// Worker 0 runs on the caller's goroutine and every other worker on a
+// goroutine of its own, all through the same Scheduler loop: a lone
+// worker's Scheduler hands out each subspace as the one chunk [0, n).
+// Run calls newWorker on the caller's goroutine, once per worker, so
+// the caller can collect the workers and release them once Run
+// returns. Run takes every prepared state from states and gives each
+// back before it returns, on success and on error alike. It stops
+// issuing preps at the first subspace whose bound b rejects and
+// returns how many subspaces it cut there: they get no prep, no chunk
+// and no scheduler round trip. The first error aborts the run; Run
+// returns it once every worker has exited. minChunk floors the
+// auto-sized chunks (see Tuning.ChunkSize).
 func Run[P any](states States[P], numSub int, b Bounds, workers, minChunk int, tun Tuning, newWorker func() Worker[P]) (cut int, err error) {
-	if workers <= 1 {
-		wk, p := newWorker(), states.Get()
-		defer states.Put(p)
-		for sub := 0; sub < numSub; sub++ {
-			if b.stops(sub) {
-				return numSub - sub, nil
-			}
-			n, err := wk.Prep(p, 0, sub)
-			if err == nil && n > 0 {
-				err = wk.Chunk(p, 0, sub, 0, n)
-			}
-			if err != nil {
-				return 0, err
-			}
-		}
-		return 0, nil
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	r := &run[P]{sch: New(numSub, workers, minChunk, tun), states: states, preps: make([]*P, numSub)}
+	r := &run[P]{states: states, preps: make([]*P, numSub)}
+	r.sch.init(numSub, workers, minChunk, tun)
 	r.sch.bounds = b
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	lead := newWorker()
+	for w := 1; w < r.sch.workers; w++ {
 		wk := newWorker()
-		wg.Add(1)
+		r.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			if err := r.work(wk, w); err != nil {
-				r.errOnce.Do(func() { r.err = err })
-				r.sch.Abort()
-			}
+			defer r.wg.Done()
+			r.serve(wk, w)
 		}()
 	}
-	wg.Wait()
+	r.serve(lead, 0)
+	r.wg.Wait()
 	if r.err != nil {
 		// The abort dropped the unacquired chunks, so the states of
 		// their subspaces never saw their last Done.
@@ -129,19 +114,30 @@ func Run[P any](states States[P], numSub int, b Bounds, workers, minChunk int, t
 	return r.sch.cut, r.err
 }
 
-// run is the shared state of one parallel Run: the scheduler, where
-// prepared states come from and go back to, and the prepared-subspace
-// handoff slots. At most about one state per worker is out at a time,
-// because the scheduler drains queued chunks before starting new preps.
-// preps[sub] is written by the preparing worker before Publish and read
-// by chunk workers after Acquire; the scheduler's lock orders the two.
+// run is the shared state of one Run: the scheduler, where prepared
+// states come from and go back to, the prepared-subspace handoff slots,
+// and the goroutines of the workers past the first. At most about one
+// state per worker is out at a time, because the scheduler drains
+// queued chunks before starting new preps. preps[sub] is written by the
+// preparing worker before Publish and read by chunk workers after
+// Acquire; the scheduler's lock orders the two.
 type run[P any] struct {
-	sch    *Scheduler
+	sch    Scheduler
 	states States[P]
 	preps  []*P
+	wg     sync.WaitGroup
 
 	errOnce sync.Once
 	err     error
+}
+
+// serve runs worker wk on lane w until the scheduler drains or aborts;
+// its first error aborts the run for every worker.
+func (r *run[P]) serve(wk Worker[P], w int) {
+	if err := r.work(wk, w); err != nil {
+		r.errOnce.Do(func() { r.err = err })
+		r.sch.Abort()
+	}
 }
 
 // work is one worker's loop: acquire units until the scheduler drains

@@ -1,13 +1,17 @@
 // Package sched runs the subspace searches of HSP and LORA: Run is the
 // one driver both algorithms share, and Scheduler is the work-unit queue
-// behind its parallel path.
+// its workers loop over.
 //
 // Both algorithms search each core's ac-subspace independently under
 // Lemma 1's exactly-once rule, so they share one outer shape: prepare a
 // subspace once, then enumerate its dim-0 roots. An algorithm supplies
 // the two steps as a Worker; Run owns the rest — the prepared states'
 // handoff between workers, the worker goroutines, and the first-error
-// abort.
+// abort. Every worker count runs the same loop: worker 0 on the
+// caller's goroutine, each other worker on a goroutine of its own. A
+// lone worker takes each subspace whole, as one chunk, so a one-worker
+// run prepares a subspace, enumerates it, and only then prepares the
+// next.
 //
 // A prepared state outlives its query. Run takes each from the caller's
 // States, in the searches a Pool that lives as long as the process, and
@@ -20,11 +24,12 @@
 // earlier query left; a Pool drops what sits idle through two garbage
 // collections, as sync.Pool does.
 //
-// The unit of parallel work is smaller than the subspace: a *(subspace,
-// dim-0 root range)* chunk. The pre-stealing parallel loops pulled whole
-// subspaces off an atomic counter, which made a Zipf head subspace
-// indivisible: one worker lane dragged ~66% of the candidate work while
-// the others idled (the EXPERIMENTS.md S1 baseline). Workers acquire
+// With more than one worker, the unit of work is smaller than the
+// subspace: a *(subspace, dim-0 root range)* chunk. The pre-stealing
+// parallel loops pulled whole subspaces off an atomic counter, which
+// made a Zipf head subspace indivisible: one worker lane dragged ~66% of
+// the candidate work while the others idled (the EXPERIMENTS.md S1
+// baseline). Workers acquire
 // units in a loop — first a prep unit per subspace (run at most once per
 // subspace, so the Lemma-1 discipline holds), then enumeration chunks of
 // the prepared subspace's roots, sized by root count so a fat
@@ -56,7 +61,7 @@ type Tuning struct {
 	// unit), < 0 disables splitting (one chunk per subspace, the
 	// pre-stealing behavior), 0 auto-sizes from the worker count, to
 	// about oversubscribe chunks per worker but never below the
-	// caller's minimum chunk.
+	// caller's minimum chunk. A lone worker never splits.
 	ChunkSize int
 }
 
@@ -70,8 +75,8 @@ type Unit struct {
 	Prep   bool
 }
 
-// Scheduler hands out prep and enumeration units to parallel workers.
-// One Scheduler covers one query execution.
+// Scheduler hands out prep and enumeration units to the workers of one
+// Run. One Scheduler covers one query execution.
 type Scheduler struct {
 	mu       sync.Mutex
 	cond     sync.Cond
@@ -92,16 +97,20 @@ type Scheduler struct {
 }
 
 // New returns a scheduler over numSub subspaces for the given worker
-// count (used by auto chunk sizing; must be >= 1). minChunk floors the
-// auto-sized chunks so tiny subspaces are not shredded into per-root
-// units; values below 1 mean 1.
+// count (used by chunk sizing; values below 1 mean 1). minChunk floors
+// the auto-sized chunks so tiny subspaces are not shredded into
+// per-root units; values below 1 mean 1.
 func New(numSub, workers, minChunk int, tun Tuning) *Scheduler {
-	if workers < 1 {
-		workers = 1
-	}
-	s := &Scheduler{tun: tun, workers: workers, minChunk: minChunk, numSub: numSub, pending: make([]int, numSub)}
-	s.cond.L = &s.mu
+	s := new(Scheduler)
+	s.init(numSub, workers, minChunk, tun)
 	return s
+}
+
+// init readies the zero s as New describes.
+func (s *Scheduler) init(numSub, workers, minChunk int, tun Tuning) {
+	s.tun, s.workers, s.minChunk, s.numSub = tun, max(workers, 1), minChunk, numSub
+	s.pending = make([]int, numSub)
+	s.cond.L = &s.mu
 }
 
 // Acquire blocks until a unit is available and returns it; ok=false
@@ -198,15 +207,16 @@ func (s *Scheduler) Abort() {
 	s.mu.Unlock()
 }
 
-// chunkFor sizes the chunks of a subspace with n root candidates.
-// Called with s.mu held.
+// chunkFor sizes the chunks of a subspace with n root candidates. A
+// lone worker takes the whole subspace as one chunk, whatever the
+// Tuning: nobody can steal from it. Called with s.mu held.
 func (s *Scheduler) chunkFor(n int) int {
 	c := s.tun.ChunkSize
+	if s.workers == 1 || c < 0 {
+		return n
+	}
 	if c > 0 {
 		return c
-	}
-	if c < 0 {
-		return n
 	}
 	c = (n + oversubscribe*s.workers - 1) / (oversubscribe * s.workers)
 	return min(max(c, s.minChunk, 1), n)

@@ -1,8 +1,12 @@
 package sched
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -486,6 +490,113 @@ func TestRunGivesStatesBack(t *testing.T) {
 			if states.gets == 0 || len(states.out) != 0 {
 				t.Errorf("workers %d, %s: took %d states, %d not given back", workers, c.name, states.gets, len(states.out))
 			}
+		}
+	}
+}
+
+// laneRun is every worker of one TestRunGoroutines run: the first
+// workers Preps wait for each other, so every lane takes part, and each
+// Prep and Chunk records the goroutine it ran on, by lane.
+type laneRun struct {
+	barrier sync.WaitGroup
+	workers int
+
+	mu    sync.Mutex
+	lanes map[int]map[uint64]bool
+}
+
+func (l *laneRun) seen(w int) {
+	id := goroutineID()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.lanes[w] == nil {
+		l.lanes[w] = map[uint64]bool{}
+	}
+	l.lanes[w][id] = true
+}
+
+func (l *laneRun) Prep(_ *fakeState, w, sub int) (int, error) {
+	l.seen(w)
+	if sub < l.workers {
+		l.barrier.Done()
+		l.barrier.Wait()
+	}
+	return 3, nil
+}
+
+func (l *laneRun) Chunk(_ *fakeState, w, _, _, _ int) error {
+	l.seen(w)
+	return nil
+}
+
+// goroutineID reads the calling goroutine's id from its stack header,
+// "goroutine 17 [running]:".
+func goroutineID() uint64 {
+	var buf [64]byte
+	line := buf[:runtime.Stack(buf[:], false)]
+	line = bytes.TrimPrefix(line, []byte("goroutine "))
+	id, err := strconv.ParseUint(string(line[:bytes.IndexByte(line, ' ')]), 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// TestRunGoroutines: lane 0 of a Run, its only lane at one worker, runs
+// every Prep and Chunk on the caller's goroutine, and each of the other
+// w-1 lanes of a w-worker Run runs on one goroutine of its own.
+func TestRunGoroutines(t *testing.T) {
+	caller := goroutineID()
+	for _, workers := range []int{1, 2, 4} {
+		l := &laneRun{workers: workers, lanes: map[int]map[uint64]bool{}}
+		l.barrier.Add(workers)
+		if _, err := Run(new(Pool[fakeState]), 3*workers, Bounds{}, workers, 1, Tuning{ChunkSize: 1}, func() Worker[fakeState] { return l }); err != nil {
+			t.Fatal(err)
+		}
+		if len(l.lanes) != workers {
+			t.Fatalf("workers %d: %d lanes ran", workers, len(l.lanes))
+		}
+		ids := map[uint64]int{}
+		for w, seen := range l.lanes {
+			if len(seen) != 1 {
+				t.Errorf("workers %d: lane %d ran on %d goroutines", workers, w, len(seen))
+			}
+			for id := range seen {
+				if (id == caller) != (w == 0) {
+					t.Errorf("workers %d: lane %d ran on goroutine %d; the caller's is %d", workers, w, id, caller)
+				}
+				ids[id]++
+			}
+		}
+		if len(ids) != workers {
+			t.Errorf("workers %d: lanes ran on %d goroutines, want one each", workers, len(ids))
+		}
+	}
+}
+
+// nopWorker prepares every subspace with a fixed root count and does
+// nothing with it, so BenchmarkRun times the driver alone.
+type nopWorker struct{ roots int }
+
+func (n nopWorker) Prep(*fakeState, int, int) (int, error)     { return n.roots, nil }
+func (n nopWorker) Chunk(*fakeState, int, int, int, int) error { return nil }
+
+// BenchmarkRun measures what the driver itself costs per run: the
+// scheduler round trips, the handoff slots and, above one worker, the
+// goroutines, over 5, 400 and 5,000 subspaces of 64 roots each with a
+// no-op worker.
+func BenchmarkRun(b *testing.B) {
+	var states Pool[fakeState]
+	for _, numSub := range []int{5, 400, 5000} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("subspaces=%d/workers=%d", numSub, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Run(&states, numSub, Bounds{}, workers, 16, Tuning{}, func() Worker[fakeState] { return nopWorker{64} }); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

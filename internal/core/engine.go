@@ -35,7 +35,8 @@ import (
 type Algorithm int
 
 const (
-	// Auto picks LORA for large datasets and HSP for small ones.
+	// Auto picks the exact HSP, which answers at least as fast as LORA
+	// at every measured size and tuple size (EXPERIMENTS.md, Crossover).
 	Auto Algorithm = iota
 	// BruteForce is the exhaustive oracle (tiny datasets only).
 	BruteForce
@@ -46,13 +47,6 @@ const (
 	// LORA is the paper's approximate algorithm.
 	LORA
 )
-
-// autoHSPLimit is the candidate-volume ceiling up to which Auto prefers
-// the exact HSP: the sum over example dimensions of the matching
-// category's population. Raw dataset size is a poor proxy — a query over
-// three niche categories of a 10M-POI corpus is still cheap exactly, while
-// three mega-categories of a 50k corpus already call for LORA.
-const autoHSPLimit = 60000
 
 // String implements fmt.Stringer.
 func (a Algorithm) String() string {
@@ -307,22 +301,14 @@ func (e *Engine) search(ctx context.Context, q *query.Query, algo Algorithm, opt
 }
 
 // Choose resolves Auto to the concrete algorithm for a validated query:
-// the exact HSP while the candidate volume (summed matching-category
-// populations) stays small, LORA beyond that. Non-Auto algorithms pass
-// through unchanged. Package-level so callers outside the engine resolve
-// Auto exactly as Search does.
-func Choose(ds *dataset.Dataset, q *query.Query, algo Algorithm) Algorithm {
-	if algo != Auto {
-		return algo
+// the exact HSP, whatever the dataset or the query. Non-Auto algorithms
+// pass through unchanged. Package-level so callers outside the engine
+// resolve Auto exactly as Search does.
+func Choose(_ *dataset.Dataset, _ *query.Query, algo Algorithm) Algorithm {
+	if algo == Auto {
+		return HSP
 	}
-	var candidates int
-	for _, cat := range q.Example.Categories {
-		candidates += len(ds.CategoryObjects(cat))
-	}
-	if candidates > autoHSPLimit {
-		return LORA
-	}
-	return HSP
+	return algo
 }
 
 // SnapResult is one nearest-object match for an example-selection click.

@@ -63,25 +63,19 @@ func TestSearchAllAlgorithms(t *testing.T) {
 }
 
 func TestAutoSelection(t *testing.T) {
-	// Auto decides on candidate volume (summed matching-category sizes),
-	// not raw dataset size.
-	engSmall, qs := setup(t, 100)
-	res, err := engSmall.Search(context.Background(), qs, Auto, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Algorithm != HSP {
-		t.Errorf("small candidate volume auto = %v, want HSP", res.Algorithm)
-	}
-	// m=3 over 3 balanced categories: candidate volume ≈ n, so exceed the
-	// limit comfortably.
-	engLarge, ql := setup(t, autoHSPLimit*3/2)
-	res, err = engLarge.Search(context.Background(), ql, Auto, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Algorithm != LORA {
-		t.Errorf("large candidate volume auto = %v, want LORA", res.Algorithm)
+	// Auto resolves to the exact HSP at every candidate volume (summed
+	// matching-category sizes): a small one, and a large one of about
+	// 90,000 (m=3 over 3 balanced categories), which went to LORA while
+	// Auto switched at 60,000.
+	for _, n := range []int{100, 90000} {
+		eng, q := setup(t, n)
+		res, err := eng.Search(context.Background(), q, Auto, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Algorithm != HSP {
+			t.Errorf("%d objects: auto = %v, want HSP", n, res.Algorithm)
+		}
 	}
 }
 

@@ -23,8 +23,9 @@ const Scale10MSize = 10_000_000
 // (work-stealing) LORA path plus a budget-bounded parallel exact HSP
 // attempt for reference. It fails when LORA cannot complete a single
 // query — the load-and-answer smoke contract — while HSP is allowed to
-// burn its budget (exact search at this scale is exactly what Auto
-// routes away from). With cfg.Rec attached it emits "scale10m" records,
+// burn its budget (it is the reference here, though at 10M it has
+// answered in half LORA's time; EXPERIMENTS.md S2). With cfg.Rec
+// attached it emits "scale10m" records,
 // the BENCH series that pins this scale's latency over time.
 //
 // The run needs several GB of memory and minutes of wall time, so it is

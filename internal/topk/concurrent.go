@@ -6,51 +6,28 @@ import (
 	"sync/atomic"
 )
 
-// Sink is the result-collection interface the search algorithms write to;
-// Heap implements it for sequential searches and Concurrent for parallel
-// ones.
-type Sink interface {
-	// K returns the result capacity.
-	K() int
-	// WouldAccept reports whether a candidate with this similarity could
-	// still enter the results. Implementations may answer with a slightly
-	// stale threshold as long as staleness is conservative (only ever
-	// admitting more candidates, never rejecting one that would fit).
-	WouldAccept(sim float64) bool
-	// Offer proposes a tuple (copied if retained).
-	Offer(tuple []int32, sim float64) bool
-}
-
-// ResultSink is a Sink whose collected entries can be read back. HSP and
-// LORA hold their collector as one: a Heap on one worker, a Concurrent
-// above one.
-type ResultSink interface {
-	Sink
-	// Results returns the held entries ordered best-first (similarity
-	// descending, ties by tuple identity ascending).
-	Results() []Entry
-}
-
-var (
-	_ ResultSink = (*Heap)(nil)
-	_ ResultSink = (*Concurrent)(nil)
-)
-
-// Concurrent is a thread-safe top-k sink for parallel subspace searches.
-// WouldAccept is lock-free against an atomically published threshold,
-// which may lag behind the true one — pruning with a stale (lower)
-// threshold only admits extra candidates, preserving exactness. Offer
-// rejects a tuple strictly below that threshold without the mutex and
-// takes the mutex for every other tuple.
+// Concurrent is the top-k sink HSP and LORA collect results into, at
+// every worker count: one worker or many share one Concurrent. It keeps
+// a Heap behind a mutex. WouldAccept is lock-free against an atomically
+// published threshold, which may lag behind the true one — pruning with
+// a stale (lower) threshold only admits extra candidates, preserving
+// exactness. Offer rejects a tuple strictly below that threshold without
+// the mutex and takes the mutex for every other tuple. Used from one
+// goroutine, it answers WouldAccept and Offer exactly as a Heap does,
+// but for a NaN similarity, which WouldAccept always rejects (Heap
+// accepts it until it fills). The searches' bounds are finite for
+// validated input; only a custom query.Metric that returns +Inf can
+// make one NaN, and the searches then prune that branch.
 type Concurrent struct {
 	mu  sync.Mutex
-	h   *Heap
+	h   Heap
 	thr atomic.Uint64 // math.Float64bits of the current threshold
 }
 
 // NewConcurrent returns a Concurrent sink keeping the top k entries.
 func NewConcurrent(k int) *Concurrent {
-	c := &Concurrent{h: New(k)}
+	c := new(Concurrent)
+	c.h.init(k)
 	c.thr.Store(math.Float64bits(math.Inf(-1)))
 	return c
 }
@@ -61,8 +38,8 @@ func (c *Concurrent) K() int { return c.h.K() }
 // WouldAccept reports whether sim could enter the results, using the
 // lock-free threshold snapshot. As with Heap.WouldAccept, equality passes:
 // a bound equal to the threshold may still cover a tuple that wins the
-// deterministic tie-break, and admitting it is what makes parallel
-// searches return the same tuples as sequential ones.
+// deterministic tie-break, and admitting it is what makes searches on
+// several workers return the same tuples as on one. NaN fails.
 //
 //seq:hotpath
 func (c *Concurrent) WouldAccept(sim float64) bool {

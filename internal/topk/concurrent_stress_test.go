@@ -53,8 +53,8 @@ func TestConcurrentStress(t *testing.T) {
 			buf := make([]int32, 2)
 			reported := false
 			for i, of := range offers[g] {
-				// Reuse one buffer across offers: the Sink contract says
-				// Offer copies retained tuples, so overwriting buf on the
+				// Reuse one buffer across offers: Offer's contract says
+				// it copies retained tuples, so overwriting buf on the
 				// next iteration must not corrupt the sink.
 				copy(buf, of.tuple)
 				c.WouldAccept(of.sim) // stale answers are fine; must not race
@@ -89,11 +89,20 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestSinkOfferCopiesTuple pins the Sink interface contract ("copied if
+// sink is what Heap and Concurrent share, so one test can hold both to
+// the same contract.
+type sink interface {
+	WouldAccept(sim float64) bool
+	Offer(tuple []int32, sim float64) bool
+	Threshold() float64
+	Results() []Entry
+}
+
+// TestSinkOfferCopiesTuple pins Offer's contract ("copied if
 // retained"): mutating the caller's slice after a successful Offer must
-// not change what Results returns, for both Sink implementations.
+// not change what Results returns, for Heap and Concurrent alike.
 func TestSinkOfferCopiesTuple(t *testing.T) {
-	for name, s := range map[string]Sink{
+	for name, s := range map[string]sink{
 		"Heap":       New(2),
 		"Concurrent": NewConcurrent(2),
 	} {
@@ -103,13 +112,7 @@ func TestSinkOfferCopiesTuple(t *testing.T) {
 		}
 		tuple[0], tuple[1], tuple[2] = 99, 98, 97
 
-		var got []Entry
-		switch s := s.(type) {
-		case *Heap:
-			got = s.Results()
-		case *Concurrent:
-			got = s.Results()
-		}
+		got := s.Results()
 		if len(got) != 1 {
 			t.Fatalf("%s: got %d results, want 1", name, len(got))
 		}

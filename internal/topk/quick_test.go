@@ -39,19 +39,34 @@ func TestQuickThresholdInvariant(t *testing.T) {
 	}
 }
 
-// The concurrent sink must agree with a plain heap when used sequentially.
+// The concurrent sink must agree with a plain heap when used
+// sequentially, step by step: the same Offer answers, the same
+// WouldAccept answers for a probe after every offer, and the same
+// results. The searches rely on this to keep one-worker runs identical
+// to the heap they used to collect into.
 func TestQuickConcurrentMatchesHeap(t *testing.T) {
-	f := func(sims []float64, k uint8) bool {
+	finite := func(v float64) float64 {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0
+		}
+		return v
+	}
+	f := func(sims, probes []float64, k uint8) bool {
 		kk := int(k%6) + 1
 		h := New(kk)
 		c := NewConcurrent(kk)
 		for i, raw := range sims {
-			s := raw
-			if math.IsNaN(s) || math.IsInf(s, 0) {
-				s = 0
+			s := finite(raw)
+			if h.Offer([]int32{int32(i)}, s) != c.Offer([]int32{int32(i)}, s) {
+				return false
 			}
-			h.Offer([]int32{int32(i)}, s)
-			c.Offer([]int32{int32(i)}, s)
+			probe := s
+			if len(probes) > 0 {
+				probe = finite(probes[i%len(probes)])
+			}
+			if h.WouldAccept(probe) != c.WouldAccept(probe) {
+				return false
+			}
 		}
 		a, b := h.Results(), c.Results()
 		if len(a) != len(b) {

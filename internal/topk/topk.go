@@ -33,10 +33,14 @@ type Heap struct {
 
 // New returns a Heap retaining the k most similar entries. k must be >= 1.
 func New(k int) *Heap {
-	if k < 1 {
-		k = 1
-	}
-	return &Heap{k: k, keys: make(map[string]struct{})}
+	t := new(Heap)
+	t.init(k)
+	return t
+}
+
+// init readies the zero t as New describes.
+func (t *Heap) init(k int) {
+	t.k, t.keys = max(k, 1), make(map[string]struct{})
 }
 
 // K returns the heap's capacity.

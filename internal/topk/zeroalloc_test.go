@@ -8,38 +8,53 @@ import (
 // fillHeap fills a k=4 heap so its threshold is 0.5.
 func fillHeap() *Heap {
 	h := New(4)
-	for i, sim := range []float64{0.5, 0.6, 0.7, 0.8} {
-		h.Offer([]int32{int32(i), int32(i + 10)}, sim)
-	}
+	fill(h)
 	return h
 }
 
-// TestOfferRejectZeroAlloc pins the dominant Offer outcome — a full heap
+// fill offers s four tuples, so a k=4 sink's threshold is 0.5.
+func fill(s sink) {
+	for i, sim := range []float64{0.5, 0.6, 0.7, 0.8} {
+		s.Offer([]int32{int32(i), int32(i + 10)}, sim)
+	}
+}
+
+// filledSinks returns a Heap and a Concurrent, each filled by fill.
+func filledSinks() map[string]sink {
+	c := NewConcurrent(4)
+	fill(c)
+	return map[string]sink{"Heap": fillHeap(), "Concurrent": c}
+}
+
+// TestOfferRejectZeroAlloc pins the dominant Offer outcome — a full sink
 // rejecting a candidate strictly below the threshold — at zero
-// allocations: the fast reject fires before the tuple key is built.
+// allocations, on Heap and on Concurrent: the fast reject fires before
+// the tuple key is built.
 func TestOfferRejectZeroAlloc(t *testing.T) {
-	h := fillHeap()
 	cand := []int32{99, 100}
-	if got := testing.AllocsPerRun(100, func() {
-		if h.Offer(cand, 0.1) {
-			t.Fatal("below-threshold candidate must be rejected")
+	for name, s := range filledSinks() {
+		if got := testing.AllocsPerRun(100, func() {
+			if s.Offer(cand, 0.1) {
+				t.Fatalf("%s: below-threshold candidate must be rejected", name)
+			}
+		}); got != 0 {
+			t.Errorf("%s: rejecting Offer allocates %v times per call, want 0", name, got)
 		}
-	}); got != 0 {
-		t.Errorf("rejecting Offer allocates %v times per call, want 0", got)
 	}
 }
 
 func TestWouldAcceptThresholdZeroAlloc(t *testing.T) {
-	h := fillHeap()
-	var sink bool
-	var thr float64
-	if got := testing.AllocsPerRun(100, func() {
-		sink = h.WouldAccept(0.3)
-		thr = h.Threshold()
-	}); got != 0 {
-		t.Errorf("WouldAccept/Threshold allocate %v times per call, want 0", got)
+	for name, s := range filledSinks() {
+		var ok bool
+		var thr float64
+		if got := testing.AllocsPerRun(100, func() {
+			ok = s.WouldAccept(0.3)
+			thr = s.Threshold()
+		}); got != 0 {
+			t.Errorf("%s: WouldAccept/Threshold allocate %v times per call, want 0", name, got)
+		}
+		_, _ = ok, thr
 	}
-	_, _ = sink, thr
 }
 
 // TestOfferFastRejectSemantics proves the fast reject never changes

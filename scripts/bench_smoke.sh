@@ -30,10 +30,11 @@ go test -run '^$' -bench . -benchtime 100x \
     ./internal/vectormath ./internal/geo ./internal/simil >/dev/null
 # The rank graph's benchmarks, the partition build's, gather's and
 # nearest search's, the road network's node snap and Dijkstra, HSP's
-# head order and HSP's and LORA's whole searches print their allocs/op
-# into the log; ten iterations keep the 100k-point partition benchmarks
-# to about a second.
+# head order, HSP's and LORA's whole searches and the search driver's
+# no-op runs print their allocs/op into the log; ten iterations keep the
+# 100k-point partition benchmarks to about a second.
 go test -run '^$' -bench . -benchtime 10x -benchmem \
-    ./internal/rankgraph ./internal/partition ./internal/roadnet ./internal/algo/hsp ./internal/algo/lora | grep '^Benchmark'
+    ./internal/rankgraph ./internal/partition ./internal/roadnet ./internal/algo/hsp ./internal/algo/lora \
+    ./internal/algo/sched | grep '^Benchmark'
 
 echo "bench smoke: wrote $out ($(go run ./cmd/benchdiff "$out" "$out" | tail -1))"

@@ -122,7 +122,8 @@ type (
 
 // Algorithm choices.
 const (
-	// Auto picks HSP for small datasets and LORA for large ones.
+	// Auto picks the exact HSP, which answers at least as fast as LORA
+	// at every measured size.
 	Auto = core.Auto
 	// BruteForce is the exhaustive oracle (tiny datasets only).
 	BruteForce = core.BruteForce
